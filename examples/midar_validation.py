@@ -16,11 +16,11 @@ Run with::
 import random
 
 from repro.analysis.tables import render_table
-from repro.baselines.ally import AllyProber
-from repro.baselines.midar import MidarProber
 from repro.core.pipeline import run_alias_resolution
 from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.simnet.device import ServiceType
+from repro.simnet.network import VantagePoint
+from repro.validation import AllyPipeline, IpidSampleBank, MidarPipeline
 
 
 def main() -> None:
@@ -35,8 +35,10 @@ def main() -> None:
     sample = rng.sample(ssh_sets, min(60, len(ssh_sets)))
     print(f"Sampled {len(sample)} SSH alias sets (of {len(ssh_sets)} candidates) for MIDAR validation")
 
-    prober = MidarProber(scenario.network)
-    verdicts = prober.verify_sets(sample, start_time=3_000_000.0)
+    midar = MidarPipeline(
+        IpidSampleBank(scenario.network, VantagePoint(name="midar-vp", address="192.0.2.251"))
+    )
+    verdicts = midar.verify_sets(sample, start_time=3_000_000.0)
     testable = [verdict for verdict in verdicts if verdict.testable]
     agree = [verdict for verdict in testable if verdict.agrees]
     print()
@@ -65,7 +67,9 @@ def main() -> None:
         print(f"  disagreement on {sorted(verdict.candidate)}: {reason}")
 
     # Ally spot check on a few confirmed pairs.
-    ally = AllyProber(scenario.network)
+    ally = AllyPipeline(
+        IpidSampleBank(scenario.network, VantagePoint(name="ally-vp", address="192.0.2.252"))
+    )
     pairs = [sorted(verdict.candidate)[:2] for verdict in agree[:5]]
     confirmed = sum(1 for left, right in pairs if ally.test_pair(left, right).aliases)
     if pairs:

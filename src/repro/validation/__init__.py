@@ -13,17 +13,20 @@ already have:
   IPID time series collected once per (addresses, schedule) and shared
   across validators, so composed validations cut probe counts.
 * :mod:`repro.validation.techniques` — the MIDAR and Ally pipelines over
-  a bank (``MidarProber``/``AllyProber`` are now shims over these).
+  a bank, each with the optimizer's levers applied when the run carries
+  a :class:`ProbeBudgetOptimizer` (one class per technique; Speedtrap is
+  MIDAR over IPv6 members).
 * :mod:`repro.validation.runner` — builders for the built-in kinds
-  (midar, ally, speedtrap, iffinder, ptr), the :class:`ValidationRun`
-  harness, and the registered named compositions.
+  (midar, ally, speedtrap, iffinder, ptr) over one per-set loop, the
+  :class:`ValidationRun` harness, and the registered named compositions.
 * :mod:`repro.validation.report` — per-set verdicts and the
   :class:`ValidationReport` aggregates (testable coverage, agreement).
 * :mod:`repro.validation.longitudinal` — per-snapshot validation of a
   churning campaign (the paper's MIDAR-disagreement series).
-* :mod:`repro.validation.budget` — the probe-budget optimizer: shared
-  estimation, the velocity cache, the adaptive :class:`ProbeBudget`
-  scheduler, and the ``consensus()`` majority-vote combinator.
+* :mod:`repro.validation.budget` — the probe-budget optimizer's state
+  (the global :class:`ProbeBudget`, the velocity cache, per-set
+  outcomes), :func:`run_budgeted`, and the ``consensus()`` majority-vote
+  combinator.
 
 Entry points: ``ReproSession.validate(spec_or_name)`` (cached, persisted
 by :mod:`repro.persist`), ``ReproSession.validate_budgeted(...)`` and the

@@ -1,12 +1,15 @@
-"""The probe-budget optimizer: shared estimation, velocity cache, scheduler.
+"""The probe-budget optimizer's state: budget, velocity cache, outcomes.
 
 The paper's central cost at Internet scale is probes, not CPU: MIDAR-style
 IPID estimation dominates the probe count, and reaching the "millions of
 candidate sets" regime means making validation probe cost the optimized
 quantity.  The shared :class:`~repro.validation.bank.IpidSampleBank`
 (exact-schedule memoisation) reuses only a few percent of probes on a
-composed validation; this module layers four cooperating optimisations on
-top of it:
+composed validation.  An optimizer attached to a run layers four
+cooperating optimisations on top of it.  This module holds their shared
+state; the levers themselves run inside the technique pipelines
+(:mod:`repro.validation.techniques`) and the priority scheduler inside
+the runner's per-set loop (:mod:`repro.validation.runner`):
 
 * **Shared estimation** — :meth:`IpidSampleBank.estimation_series` keeps
   one canonical estimation collection per (address, schedule shape) and
@@ -30,12 +33,12 @@ top of it:
   sequence is an exact prefix of the uncapped run's.  Sets the budget
   cannot afford are reported ``unresolved`` — never mis-verdicted — and
   sets answerable entirely from the bank still resolve for free.
-* **Redundancy elimination** — :class:`BudgetedMidarPipeline` skips
-  corroboration pairs already connected by earlier passing tests
-  (partition-invariant: a passing test between connected members unions
-  nothing, and a failing one never splits) and answers repeat
-  corroboration passes from the banked first pass while the pair's
-  velocities are fresh.
+* **Redundancy elimination** — :class:`~repro.validation.techniques.
+  MidarPipeline` skips corroboration pairs already connected by earlier
+  passing tests (partition-invariant: a passing test between connected
+  members unions nothing, and a failing one never splits) and answers
+  repeat corroboration passes from the banked first pass while the
+  pair's velocities are fresh.
 
 Verdict parity is the design constraint throughout: under an unlimited
 budget every *decision* (testable, agrees, partition) matches the
@@ -54,33 +57,18 @@ import dataclasses
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
-from repro.baselines.ipid import (
-    IpidTimeSeries,
-    TargetClass,
-    classify_series,
-    shared_counter_test,
-)
-from repro.core.alias_resolution import UnionFind
+from repro.baselines.ipid import IpidTimeSeries, TargetClass, classify_series
 from repro.errors import ValidationError
-from repro.net.addresses import is_ipv6
-from repro.validation.bank import IpidSampleBank
 from repro.validation.report import (
     CandidateSets,
     SetVerdict,
     ValidationReport,
-    canonical_partition,
 )
 from repro.validation.spec import VALIDATORS, ValidatorSpec, display_name
-from repro.validation.techniques import (
-    AllyPairResult,
-    AllyPipeline,
-    MidarConfig,
-    MidarPipeline,
-    MidarSetVerdict,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.validation.runner import ValidationRun
+    from repro.validation.techniques import MidarConfig
 
 #: Default staleness bound of the velocity cache, in simulated seconds.
 #: One day: far longer than any single validation run, far shorter than
@@ -96,11 +84,11 @@ CONSENSUS_OUTCOMES = frozenset({"agree", "disagree", "untestable", UNRESOLVED_LA
 
 
 class ProbeBudgetExhausted(ValidationError):
-    """Raised inside budgeted pipelines when a fresh-probe request is denied.
+    """Raised inside a pipeline when a fresh-probe request is denied.
 
-    Internal control flow: the budgeted runners catch it per candidate set
-    and record the set as unresolved.  It only escapes when a budgeted
-    pipeline is driven directly outside a runner.
+    Internal control flow: the runner's per-set loop catches it and
+    records the set as unresolved.  It only escapes when a pipeline with
+    an optimizer is driven directly outside a runner.
     """
 
 
@@ -252,20 +240,18 @@ class ProbeBudgetOptimizer:
 
     Attach one to a :class:`~repro.validation.runner.ValidationRun`
     (``run.optimizer = ...`` — :func:`run_budgeted` does this for you) and
-    the bank-based builders route through the budgeted pipelines: shared
-    estimation, the velocity cache, redundancy elimination, and the global
-    :class:`ProbeBudget`.  ``budget=None`` optimizes without a cap.
+    the bank-based technique pipelines apply their optimizer levers:
+    shared estimation, the velocity cache, redundancy elimination, and the
+    global :class:`ProbeBudget`.  ``budget=None`` optimizes without a cap.
     """
 
     def __init__(
         self,
         budget: int | ProbeBudget | None = None,
         velocity_ttl: float = DEFAULT_VELOCITY_TTL,
-        reuse_passes: bool = True,
     ) -> None:
         self.budget = budget if isinstance(budget, ProbeBudget) else ProbeBudget(limit=budget)
         self.velocity_cache = VelocityCache(ttl=velocity_ttl)
-        self.reuse_passes = reuse_passes
         self.outcomes: list[SetOutcome] = []
 
     @property
@@ -276,6 +262,17 @@ class ProbeBudgetOptimizer:
     def request(self, probes: int) -> bool:
         """Delegate a fresh-probe request to the global budget."""
         return self.budget.request(probes)
+
+    def require(self, probes: int, what: str) -> None:
+        """Request fresh probes for ``what``; a denial raises.
+
+        Raises:
+            ProbeBudgetExhausted: when the global budget denies the request.
+        """
+        if not self.request(probes):
+            raise ProbeBudgetExhausted(
+                f"{what} needs {probes} fresh probes; the probe budget is exhausted"
+            )
 
     def charge(self, probes: int) -> None:
         """Charge fresh probes actually issued against the global budget."""
@@ -338,430 +335,6 @@ def is_unresolved(verdict: SetVerdict) -> bool:
         not verdict.testable
         and bool(verdict.classes)
         and all(label == UNRESOLVED_LABEL for _, label in verdict.classes)
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Budgeted pipelines
-# --------------------------------------------------------------------------- #
-class BudgetedMidarPipeline(MidarPipeline):
-    """MIDAR over a bank with the optimizer's four levers applied.
-
-    Decision parity with :class:`~repro.validation.techniques.
-    MidarPipeline` is the invariant: estimation served from a fresh
-    canonical series classifies identically to the collection it memoises;
-    a corroboration pair already connected by passing tests is skipped
-    (a pass would union nothing, a failure never splits — the partition
-    cannot change); and a repeat corroboration pass is answered from the
-    banked first pass while velocities are fresh, reproducing that pass's
-    decision exactly.  What *can* differ is the probing schedule — cached
-    reads consume no simulated time — which is why parity is stated over
-    decisions, not timestamps.
-    """
-
-    def __init__(
-        self,
-        bank: IpidSampleBank,
-        config: MidarConfig | None,
-        optimizer: ProbeBudgetOptimizer,
-    ) -> None:
-        super().__init__(bank, config)
-        self._optimizer = optimizer
-
-    def estimate(
-        self, addresses: Sequence[str], start_time: float
-    ) -> tuple[dict[str, TargetClass], dict[str, float], float]:
-        """Classify every address through the shared estimation stage.
-
-        Fresh collections charge the budget and advance the clock by the
-        probes actually issued — the collection stops early once the
-        address's class is decided (see
-        :meth:`IpidSampleBank._collect_estimation`), so a random-IPID
-        target costs a few probes, not the full schedule.  Reads served
-        from the canonical series (or, after a reload, from a restored
-        bank) are free in both probes and simulated time.
-        """
-        config = self._config
-        optimizer = self._optimizer
-        cache = optimizer.velocity_cache
-        classes: dict[str, TargetClass] = {}
-        velocities: dict[str, float] = {}
-        now = start_time
-        cost = config.estimation_samples
-        for address in addresses:
-            free = self._bank.estimation_free(
-                address, cost, config.estimation_interval, now, max_age=cache.ttl
-            )
-            if not free and not optimizer.request(cost):
-                raise ProbeBudgetExhausted(
-                    f"estimating {address} needs {cost} fresh probes; "
-                    "the probe budget is exhausted"
-                )
-            series, observed_at, issued = self._bank.estimation_series(
-                address,
-                cost,
-                config.estimation_interval,
-                now,
-                max_age=cache.ttl,
-                early_stop=(config.min_responses, config.max_velocity),
-            )
-            if issued:
-                optimizer.charge(issued)
-                now += issued * config.estimation_interval
-            entry = cache.classify(address, series, observed_at, config)
-            classes[address] = entry.target_class
-            if entry.velocity is not None:
-                velocities[address] = entry.velocity
-        return classes, velocities, now
-
-    def _pair_decision(
-        self, series: dict[str, IpidTimeSeries], left: str, right: str
-    ) -> bool:
-        """The monotonic-bounds decision over one interleaved collection."""
-        config = self._config
-        left_samples = series[left].samples
-        right_samples = series[right].samples
-        if (
-            len(left_samples) < config.min_responses
-            or len(right_samples) < config.min_responses
-        ):
-            return False
-        return shared_counter_test(
-            left_samples + right_samples, max_velocity=config.max_velocity
-        )
-
-    def _pair_shares_counter(
-        self, left: str, right: str, start_time: float
-    ) -> tuple[bool, float]:
-        """Corroborate one pair, bank-first and budget-aware.
-
-        A banked collection of the pair that is still fresh (the velocity
-        cache's staleness bound, which also bounds how old pair evidence
-        may be) decides without probing or consuming time.  Otherwise the
-        pair is probed fresh; with ``reuse_passes`` the repeat passes are
-        answered by re-reading the first pass's banked collection — the
-        members' velocities were just (re-)estimated fresh, so a repeat
-        collection adds no information — which reproduces the first pass's
-        decision and halves the per-pair corroboration cost.
-        """
-        config = self._config
-        optimizer = self._optimizer
-        per_pass = 2 * config.corroboration_rounds
-        requested = config.corroboration_passes * per_pass
-        banked = self._bank.cached_interleaved(
-            left,
-            right,
-            requested_probes=requested,
-            now=start_time,
-            max_age=optimizer.ttl,
-        )
-        if banked is not None:
-            return self._pair_decision(banked, left, right), start_time
-        passes = 1 if optimizer.reuse_passes else config.corroboration_passes
-        if not optimizer.request(passes * per_pass):
-            raise ProbeBudgetExhausted(
-                f"corroborating {left}/{right} needs {passes * per_pass} fresh "
-                "probes; the probe budget is exhausted"
-            )
-        issued_before = self._bank.probes_issued
-        now = start_time
-        shares = True
-        for _ in range(passes):
-            series = self._bank.interleaved(
-                (left, right),
-                rounds=config.corroboration_rounds,
-                interval=config.corroboration_interval,
-                start_time=now,
-            )
-            now += per_pass * config.corroboration_interval
-            if not self._pair_decision(series, left, right):
-                shares = False
-                break
-        optimizer.charge(self._bank.probes_issued - issued_before)
-        return shares, now
-
-    def verify_set(
-        self, candidate: Iterable[str], start_time: float = 0.0
-    ) -> MidarSetVerdict:
-        """The full pipeline with transitive-closure pair skipping.
-
-        The base pipeline corroborates *every* velocity-compatible pair; a
-        k-member true alias set pays ~k²/2 pair tests where a spanning
-        tree of passing tests already proves the partition.  Skipping
-        already-connected pairs is partition-invariant (see the class
-        docstring), so the verdict is unchanged while large agreeing sets
-        drop from quadratic to linear pair cost.
-        """
-        members = sorted(candidate)[: self._config.max_set_size]
-        classes, velocities, now = self.estimate(members, start_time)
-        usable = [address for address in members if classes[address] is TargetClass.USABLE]
-        if len(usable) < 2:
-            return MidarSetVerdict(
-                candidate=frozenset(members),
-                target_classes=classes,
-                testable=False,
-                partition=[],
-                agrees=False,
-                started_at=start_time,
-                finished_at=now,
-            )
-        union_find = UnionFind()
-        for address in usable:
-            union_find.add(address)
-        for index, left in enumerate(usable):
-            for right in usable[index + 1 :]:
-                if union_find.find(left) == union_find.find(right):
-                    continue
-                if not self._velocity_compatible(
-                    velocities.get(left, 0.1), velocities.get(right, 0.1)
-                ):
-                    continue
-                shares, now = self._pair_shares_counter(left, right, now)
-                if shares:
-                    union_find.union(left, right)
-        partition = [frozenset(group) for group in union_find.groups()]
-        agrees = len(partition) == 1
-        return MidarSetVerdict(
-            candidate=frozenset(members),
-            target_classes=classes,
-            testable=True,
-            partition=partition,
-            agrees=agrees,
-            started_at=start_time,
-            finished_at=now,
-        )
-
-
-class BudgetedAllyPipeline(AllyPipeline):
-    """Ally with staleness-bounded pair reuse and budget enforcement.
-
-    Identical to ``AllyPipeline(reuse=True)`` except that banked pair
-    evidence older than the optimizer's staleness bound is re-probed
-    instead of reused, and fresh pair tests go through the global budget.
-    """
-
-    def __init__(
-        self,
-        bank: IpidSampleBank,
-        rounds: int,
-        interval: float,
-        max_velocity: float,
-        optimizer: ProbeBudgetOptimizer,
-    ) -> None:
-        super().__init__(
-            bank,
-            rounds=rounds,
-            interval=interval,
-            max_velocity=max_velocity,
-            reuse=True,
-        )
-        self._optimizer = optimizer
-
-    def test_pair(self, left: str, right: str, start_time: float = 0.0) -> AllyPairResult:
-        requested = 2 * self._rounds
-        cached = self._bank.cached_interleaved(
-            left,
-            right,
-            requested_probes=requested,
-            now=start_time,
-            max_age=self._optimizer.ttl,
-        )
-        if cached is not None:
-            return self._decide(cached, left, right, reused=True)
-        if not self._optimizer.request(requested):
-            raise ProbeBudgetExhausted(
-                f"Ally pair {left}/{right} needs {requested} fresh probes; "
-                "the probe budget is exhausted"
-            )
-        issued_before = self._bank.probes_issued
-        series = self._bank.interleaved(
-            (left, right),
-            rounds=self._rounds,
-            interval=self._interval,
-            start_time=start_time,
-        )
-        self._optimizer.charge(self._bank.probes_issued - issued_before)
-        return self._decide(series, left, right, reused=False)
-
-
-# --------------------------------------------------------------------------- #
-# The adaptive scheduler
-# --------------------------------------------------------------------------- #
-def _priority_order(
-    members_per_set: Sequence[tuple[str, ...]],
-    uncertainty: Sequence[int] | None = None,
-) -> list[int]:
-    """Candidate-set processing order: largest / most-uncertain first.
-
-    The budget drains over this order like a sliding window — big,
-    unknown sets (the most information per probe) spend first, and the
-    sorted-members tiebreak keeps the order fully deterministic, which the
-    scheduler-determinism property test pins.
-    """
-
-    def key(position: int) -> tuple[int, int, tuple[str, ...]]:
-        members = members_per_set[position]
-        unknown = uncertainty[position] if uncertainty is not None else 0
-        return (-len(members), -unknown, members)
-
-    return sorted(range(len(members_per_set)), key=key)
-
-
-def run_midar_like_budgeted(
-    spec: ValidatorSpec,
-    candidates: CandidateSets,
-    start: float,
-    bank: IpidSampleBank,
-    config: MidarConfig,
-    ipv6_only: bool,
-    optimizer: ProbeBudgetOptimizer,
-) -> ValidationReport:
-    """Run a MIDAR-shaped validator (midar/speedtrap) under the optimizer.
-
-    Candidate sets are processed in priority order but reported in the
-    original candidate order, so reports stay comparable set-for-set with
-    their non-budgeted counterparts.  A set the budget cannot finish is
-    recorded (and reported) as unresolved; its partial probing stays
-    banked for later validators.
-    """
-    pipeline = BudgetedMidarPipeline(bank, config, optimizer)
-    members_per_set: list[tuple[str, ...]] = []
-    for candidate in candidates:
-        members = (
-            [address for address in candidate if is_ipv6(address)]
-            if ipv6_only
-            else list(candidate)
-        )
-        members_per_set.append(tuple(sorted(members)[: config.max_set_size]))
-    cache = optimizer.velocity_cache
-    uncertainty = [
-        sum(1 for address in members if cache.fresh(address, config, start) is None)
-        for members in members_per_set
-    ]
-    order = _priority_order(members_per_set, uncertainty)
-    validator = display_name(spec)
-    verdicts: list[SetVerdict | None] = [None] * len(candidates)
-    issued_total, reused_total = bank.probes_issued, bank.probes_reused
-    now = start
-    for position in order:
-        members = members_per_set[position]
-        issued_before, reused_before = bank.probes_issued, bank.probes_reused
-        try:
-            verdict = pipeline.verify_set(members, start_time=now)
-        except ProbeBudgetExhausted:
-            verdicts[position] = unresolved_verdict(members, now)
-            optimizer.record(
-                validator,
-                frozenset(members),
-                "unresolved",
-                bank.probes_issued - issued_before,
-                bank.probes_reused - reused_before,
-            )
-            continue
-        now = verdict.finished_at
-        verdicts[position] = SetVerdict(
-            candidate=verdict.candidate,
-            testable=verdict.testable,
-            agrees=verdict.agrees,
-            partition=canonical_partition(verdict.partition),
-            classes=tuple(
-                sorted(
-                    (address, target.value)
-                    for address, target in verdict.target_classes.items()
-                )
-            ),
-            started_at=verdict.started_at,
-            finished_at=verdict.finished_at,
-        )
-        issued = bank.probes_issued - issued_before
-        optimizer.record(
-            validator,
-            verdict.candidate,
-            "probed" if issued else "cached",
-            issued,
-            bank.probes_reused - reused_before,
-        )
-    return ValidationReport(
-        validator=validator,
-        spec=spec,
-        candidates=len(candidates),
-        verdicts=tuple(verdict for verdict in verdicts if verdict is not None),
-        probes_issued=bank.probes_issued - issued_total,
-        probes_reused=bank.probes_reused - reused_total,
-        started_at=start,
-        finished_at=now,
-    )
-
-
-def run_ally_budgeted(
-    spec: ValidatorSpec,
-    candidates: CandidateSets,
-    start: float,
-    bank: IpidSampleBank,
-    rounds: int,
-    interval: float,
-    max_velocity: float,
-    max_set_size: int,
-    optimizer: ProbeBudgetOptimizer,
-) -> ValidationReport:
-    """Run the Ally validator under the optimizer (see
-    :func:`run_midar_like_budgeted` for the scheduling contract)."""
-    pipeline = BudgetedAllyPipeline(
-        bank,
-        rounds=rounds,
-        interval=interval,
-        max_velocity=max_velocity,
-        optimizer=optimizer,
-    )
-    members_per_set = [
-        tuple(sorted(candidate)[:max_set_size]) for candidate in candidates
-    ]
-    order = _priority_order(members_per_set)
-    validator = display_name(spec)
-    verdicts: list[SetVerdict | None] = [None] * len(candidates)
-    issued_total, reused_total = bank.probes_issued, bank.probes_reused
-    now = start
-    for position in order:
-        members = members_per_set[position]
-        issued_before, reused_before = bank.probes_issued, bank.probes_reused
-        try:
-            result = pipeline.verify_set(members, start_time=now, max_set_size=max_set_size)
-        except ProbeBudgetExhausted:
-            verdicts[position] = unresolved_verdict(members, now)
-            optimizer.record(
-                validator,
-                frozenset(members),
-                "unresolved",
-                bank.probes_issued - issued_before,
-                bank.probes_reused - reused_before,
-            )
-            continue
-        now = result.finished_at
-        verdicts[position] = SetVerdict(
-            candidate=frozenset(result.members),
-            testable=result.testable,
-            agrees=result.agrees,
-            partition=canonical_partition(result.partition),
-            started_at=result.started_at,
-            finished_at=result.finished_at,
-        )
-        issued = bank.probes_issued - issued_before
-        optimizer.record(
-            validator,
-            frozenset(result.members),
-            "probed" if issued else "cached",
-            issued,
-            bank.probes_reused - reused_before,
-        )
-    return ValidationReport(
-        validator=validator,
-        spec=spec,
-        candidates=len(candidates),
-        verdicts=tuple(verdict for verdict in verdicts if verdict is not None),
-        probes_issued=bank.probes_issued - issued_total,
-        probes_reused=bank.probes_reused - reused_total,
-        started_at=start,
-        finished_at=now,
     )
 
 
@@ -943,13 +516,13 @@ def run_budgeted(
 ) -> BudgetRunResult:
     """Run validators under one shared optimizer and global probe budget.
 
-    The optimizer attaches to ``run`` for the duration: bank-based
-    validators (midar, speedtrap, ally) route through the budgeted
-    pipelines, iffinder charges its per-member probes against the same
+    The optimizer attaches to ``run`` for the duration: the bank-based
+    validators' pipelines (midar, speedtrap, ally) apply its levers,
+    iffinder charges its per-member probes against the same
     budget, and PTR — DNS lookups, not network probes — runs unbudgeted.
     ``budget=None`` optimizes without a cap (the configuration whose
-    verdicts ``bench_budget.py`` holds to parity with the non-optimized
-    pipelines); a capped run reports unaffordable sets as unresolved and
+    verdicts ``bench_budget.py`` holds to parity with the optimizer-free
+    runs); a capped run reports unaffordable sets as unresolved and
     never flips a resolved verdict relative to the uncapped run.
     """
     from repro.validation.runner import run_validator

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import obs
 from repro.baselines.iffinder import IffinderProber
@@ -30,6 +30,12 @@ from repro.net.addresses import AddressFamily, family_of, is_ipv6
 from repro.simnet.device import ServiceType
 from repro.simnet.network import SimulatedInternet, VantagePoint
 from repro.validation.bank import IpidSampleBank
+from repro.validation.budget import (
+    ProbeBudgetExhausted,
+    ProbeBudgetOptimizer,
+    consensus_report,
+    unresolved_verdict,
+)
 from repro.validation.report import (
     CandidateSets,
     SetVerdict,
@@ -54,7 +60,6 @@ from repro.validation.techniques import AllyPipeline, MidarConfig, MidarPipeline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.api.session import ReproSession
-    from repro.validation.budget import ProbeBudgetOptimizer
 
 #: The vantage point bank-based validators probe from unless a spec
 #: overrides it.  One shared vantage is what lets validators share one
@@ -76,8 +81,8 @@ class ValidationRun:
         self.session = session
         self._banks: dict[tuple[str, str, bool], IpidSampleBank] = {}
         #: When set (see :func:`repro.validation.budget.run_budgeted`), the
-        #: bank-based builders route through the budgeted pipelines.
-        self.optimizer: "ProbeBudgetOptimizer | None" = None
+        #: bank-based pipelines apply the optimizer's levers.
+        self.optimizer: ProbeBudgetOptimizer | None = None
         self._start_cache: dict[tuple[str, float], float] = {}
 
     def bank(self, vantage: VantagePoint) -> IpidSampleBank:
@@ -238,6 +243,88 @@ def _midar_config_from(spec: ValidatorSpec, default: MidarConfig) -> MidarConfig
     )
 
 
+def _priority_order(
+    members_per_set: Sequence[tuple[str, ...]],
+    uncertainty: Sequence[int] | None = None,
+) -> list[int]:
+    """Candidate-set processing order under an optimizer: largest /
+    most-uncertain first.
+
+    The budget drains over this order like a sliding window — big,
+    unknown sets (the most information per probe) spend first, and the
+    sorted-members tiebreak keeps the order fully deterministic, which the
+    scheduler-determinism property test pins.
+    """
+
+    def key(position: int) -> tuple[int, int, tuple[str, ...]]:
+        members = members_per_set[position]
+        unknown = uncertainty[position] if uncertainty is not None else 0
+        return (-len(members), -unknown, members)
+
+    return sorted(range(len(members_per_set)), key=key)
+
+
+def _run_sets(
+    run: ValidationRun,
+    spec: ValidatorSpec,
+    bank: IpidSampleBank,
+    start: float,
+    members_per_set: Sequence[tuple[str, ...]],
+    verify: Callable[[tuple[str, ...], float], SetVerdict],
+    uncertainty: Callable[[tuple[str, ...]], int] | None = None,
+) -> ValidationReport:
+    """The per-set loop of every bank-based technique (midar, speedtrap, ally).
+
+    Each set is verified starting where the previous one finished.
+    Without an optimizer the sets go in candidate order.  With one they go
+    in :func:`_priority_order` (``uncertainty`` scores each set), a set
+    the budget cannot finish is reported unresolved — its partial probing
+    stays banked for later validators — and every set's spend is recorded
+    on the optimizer.  Either way verdicts are reported in candidate
+    order, with the bank's issued/reused probes over the whole run.
+    """
+    optimizer = run.optimizer
+    validator = display_name(spec)
+    if optimizer is None:
+        order: Sequence[int] = range(len(members_per_set))
+    else:
+        scores = None if uncertainty is None else [uncertainty(m) for m in members_per_set]
+        order = _priority_order(members_per_set, scores)
+    verdicts: dict[int, SetVerdict] = {}
+    issued_total, reused_total = bank.probes_issued, bank.probes_reused
+    now = start
+    for position in order:
+        members = members_per_set[position]
+        issued_before, reused_before = bank.probes_issued, bank.probes_reused
+        try:
+            verdict = verify(members, now)
+        except ProbeBudgetExhausted:
+            verdict = unresolved_verdict(members, now)
+            outcome = "unresolved"
+        else:
+            now = verdict.finished_at
+            outcome = "probed" if bank.probes_issued > issued_before else "cached"
+        verdicts[position] = verdict
+        if optimizer is not None:
+            optimizer.record(
+                validator,
+                frozenset(members),
+                outcome,
+                bank.probes_issued - issued_before,
+                bank.probes_reused - reused_before,
+            )
+    return ValidationReport(
+        validator=validator,
+        spec=spec,
+        candidates=len(members_per_set),
+        verdicts=tuple(verdicts[position] for position in range(len(members_per_set))),
+        probes_issued=bank.probes_issued - issued_total,
+        probes_reused=bank.probes_reused - reused_total,
+        started_at=start,
+        finished_at=now,
+    )
+
+
 def _run_midar_like(
     run: ValidationRun,
     spec: ValidatorSpec,
@@ -251,46 +338,39 @@ def _run_midar_like(
     start = start_time if start_time is not None else _derive_start(run, spec)
     bank = run.bank(_vantage_from(spec))
     config = _midar_config_from(spec, default_config)
-    if run.optimizer is not None:
-        from repro.validation.budget import run_midar_like_budgeted
+    pipeline = MidarPipeline(bank, config, run.optimizer)
+    members_per_set = [
+        tuple(
+            sorted(address for address in candidate if not ipv6_only or is_ipv6(address))[
+                : config.max_set_size
+            ]
+        )
+        for candidate in candidates
+    ]
 
-        return run_midar_like_budgeted(
-            spec, candidates, start, bank, config, ipv6_only, run.optimizer
-        )
-    pipeline = MidarPipeline(bank, config)
-    issued_before, reused_before = bank.probes_issued, bank.probes_reused
-    verdicts: list[SetVerdict] = []
-    now = start
-    for candidate in candidates:
-        members = [address for address in candidate if is_ipv6(address)] if ipv6_only else candidate
+    def verify(members: tuple[str, ...], now: float) -> SetVerdict:
         verdict = pipeline.verify_set(members, start_time=now)
-        now = verdict.finished_at
-        verdicts.append(
-            SetVerdict(
-                candidate=verdict.candidate,
-                testable=verdict.testable,
-                agrees=verdict.agrees,
-                partition=canonical_partition(verdict.partition),
-                classes=tuple(
-                    sorted(
-                        (address, target.value)
-                        for address, target in verdict.target_classes.items()
-                    )
-                ),
-                started_at=verdict.started_at,
-                finished_at=verdict.finished_at,
-            )
+        return SetVerdict(
+            candidate=verdict.candidate,
+            testable=verdict.testable,
+            agrees=verdict.agrees,
+            partition=canonical_partition(verdict.partition),
+            classes=tuple(
+                sorted(
+                    (address, target.value)
+                    for address, target in verdict.target_classes.items()
+                )
+            ),
+            started_at=verdict.started_at,
+            finished_at=verdict.finished_at,
         )
-    return ValidationReport(
-        validator=display_name(spec),
-        spec=spec,
-        candidates=len(candidates),
-        verdicts=tuple(verdicts),
-        probes_issued=bank.probes_issued - issued_before,
-        probes_reused=bank.probes_reused - reused_before,
-        started_at=start,
-        finished_at=now,
-    )
+
+    def uncertainty(members: tuple[str, ...]) -> int:
+        # Members with no fresh cached velocity still need estimation probes.
+        cache = run.optimizer.velocity_cache
+        return sum(1 for address in members if cache.fresh(address, config, start) is None)
+
+    return _run_sets(run, spec, bank, start, members_per_set, verify, uncertainty)
 
 
 @validator_kind("midar", "MIDAR estimation → elimination → corroboration per candidate set")
@@ -319,53 +399,28 @@ def _build_ally(run, spec, candidates, start_time):
     start = start_time if start_time is not None else _derive_start(run, spec)
     bank = run.bank(_vantage_from(spec))
     max_set_size = int(spec.param("max_set_size", 10))
-    if run.optimizer is not None:
-        from repro.validation.budget import run_ally_budgeted
-
-        return run_ally_budgeted(
-            spec,
-            candidates,
-            start,
-            bank,
-            rounds=int(spec.param("rounds", 3)),
-            interval=float(spec.param("interval", 0.5)),
-            max_velocity=float(spec.param("max_velocity", 2_000.0)),
-            max_set_size=max_set_size,
-            optimizer=run.optimizer,
-        )
     pipeline = AllyPipeline(
         bank,
         rounds=int(spec.param("rounds", 3)),
         interval=float(spec.param("interval", 0.5)),
         max_velocity=float(spec.param("max_velocity", 2_000.0)),
         reuse=bool(spec.param("reuse", True)),
+        optimizer=run.optimizer,
     )
-    issued_before, reused_before = bank.probes_issued, bank.probes_reused
-    verdicts: list[SetVerdict] = []
-    now = start
-    for candidate in candidates:
-        result = pipeline.verify_set(candidate, start_time=now, max_set_size=max_set_size)
-        now = result.finished_at
-        verdicts.append(
-            SetVerdict(
-                candidate=frozenset(result.members),
-                testable=result.testable,
-                agrees=result.agrees,
-                partition=canonical_partition(result.partition),
-                started_at=result.started_at,
-                finished_at=result.finished_at,
-            )
+    members_per_set = [tuple(sorted(candidate)[:max_set_size]) for candidate in candidates]
+
+    def verify(members: tuple[str, ...], now: float) -> SetVerdict:
+        result = pipeline.verify_set(members, start_time=now, max_set_size=max_set_size)
+        return SetVerdict(
+            candidate=frozenset(result.members),
+            testable=result.testable,
+            agrees=result.agrees,
+            partition=canonical_partition(result.partition),
+            started_at=result.started_at,
+            finished_at=result.finished_at,
         )
-    return ValidationReport(
-        validator=display_name(spec),
-        spec=spec,
-        candidates=len(candidates),
-        verdicts=tuple(verdicts),
-        probes_issued=bank.probes_issued - issued_before,
-        probes_reused=bank.probes_reused - reused_before,
-        started_at=start,
-        finished_at=now,
-    )
+
+    return _run_sets(run, spec, bank, start, members_per_set, verify)
 
 
 # --------------------------------------------------------------------------- #
@@ -388,8 +443,6 @@ def _build_iffinder(run, spec, candidates, start_time):
         members = sorted(candidate)
         member_set = frozenset(members)
         if optimizer is not None and not optimizer.request(len(members)):
-            from repro.validation.budget import unresolved_verdict
-
             verdicts.append(unresolved_verdict(members, now))
             optimizer.record(display_name(spec), member_set, "unresolved", 0, 0)
             continue
@@ -484,8 +537,6 @@ def _build_ptr(run, spec, candidates, start_time):
     "consensus", "run N techniques over one candidate list; per-set majority vote"
 )
 def _build_consensus(run, spec, candidates, start_time):
-    from repro.validation.budget import consensus_report
-
     if len(spec.inputs) < 2:
         raise ValidationError(
             f"validator combinator 'consensus' takes at least two inputs "

@@ -25,7 +25,7 @@ from repro.validation.budget import (
 )
 from repro.validation.runner import ValidationRun, run_validator
 from repro.validation.spec import ally, consensus, iffinder, midar, speedtrap
-from repro.validation.techniques import MidarConfig
+from repro.validation.techniques import MidarConfig, MidarPipeline
 
 TRUE_SET = frozenset({"10.0.1.1", "10.0.1.2", "10.0.1.3"})
 FALSE_SET = frozenset({"10.0.1.1", "10.0.2.1"})
@@ -191,6 +191,26 @@ class TestUncappedParity:
         assert ally_report.probes_reused > 0
 
 
+class TestAllyReuseParam:
+    """``ally(reuse=False)`` probes fresh with or without an optimizer."""
+
+    @pytest.mark.parametrize("optimized", [False, True], ids=["plain", "optimized"])
+    def test_reuse_false_is_honoured(self, make_network, count_probes, optimized):
+        network = make_network()
+        run = ValidationRun(network)
+        if optimized:
+            run.optimizer = ProbeBudgetOptimizer()
+        run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)
+        counter = count_probes(network)
+        report = run_validator(
+            run, _spec_vantage(ally, reuse=False), candidates=(TRUE_SET,), start_time=0.0
+        )
+        assert (report.probes_issued, report.probes_reused) == (12, 0)
+        assert counter["probes"] == 12
+        (verdict,) = report.verdicts
+        assert verdict.testable and verdict.agrees
+
+
 class TestCappedDegradation:
     def test_skipped_sets_unresolved_resolved_verdicts_identical(self, make_network):
         spec = _spec_vantage(midar)
@@ -259,10 +279,9 @@ class TestCappedDegradation:
 
     def test_exhaustion_escapes_outside_a_runner(self, network, vantage):
         from repro.validation.bank import IpidSampleBank
-        from repro.validation.budget import BudgetedMidarPipeline
 
-        pipeline = BudgetedMidarPipeline(
-            IpidSampleBank(network, vantage), None, ProbeBudgetOptimizer(budget=0)
+        pipeline = MidarPipeline(
+            IpidSampleBank(network, vantage), optimizer=ProbeBudgetOptimizer(budget=0)
         )
         with pytest.raises(ProbeBudgetExhausted):
             pipeline.estimate(sorted(TRUE_SET), start_time=0.0)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.baselines.midar import MidarProber
 from repro.errors import ValidationError
+from repro.validation.bank import IpidSampleBank
 from repro.validation.runner import ValidationRun, run_validator
 from repro.validation.spec import (
     ally,
@@ -16,6 +16,7 @@ from repro.validation.spec import (
     sample,
     speedtrap,
 )
+from repro.validation.techniques import MidarPipeline
 
 TRUE_SET = frozenset({"10.0.1.1", "10.0.1.2", "10.0.1.3"})
 FALSE_SET = frozenset({"10.0.1.1", "10.0.2.1"})
@@ -34,7 +35,9 @@ class TestMidarValidator:
         report = run_validator(
             run, _spec_vantage(midar), candidates=(TRUE_SET, FALSE_SET), start_time=0.0
         )
-        direct = MidarProber(make_network(), vantage).verify_sets([TRUE_SET, FALSE_SET])
+        direct = MidarPipeline(IpidSampleBank(make_network(), vantage)).verify_sets(
+            [TRUE_SET, FALSE_SET]
+        )
         assert [(v.candidate, v.testable, v.agrees) for v in report.verdicts] == [
             (v.candidate, v.testable, v.agrees) for v in direct
         ]
