@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 
 from repro.net.endpoint import ServerBehavior
 from repro.protocols.bgp.capabilities import Capability
@@ -33,6 +34,10 @@ class BgpSpeakerStyle(enum.Enum):
 @dataclasses.dataclass(frozen=True)
 class BgpSpeakerConfig:
     """Device-wide BGP configuration.
+
+    The config is frozen, so :attr:`greeting` is encoded on first use and
+    kept on this instance for as long as the config (one device of one
+    simulated Internet) lives.
 
     Attributes:
         asn: the speaker's autonomous system number (may need four octets).
@@ -67,6 +72,11 @@ class BgpSpeakerConfig:
             capabilities=tuple(capabilities),
         )
 
+    @functools.cached_property
+    def greeting(self) -> bytes:
+        """The OPEN plus Cease NOTIFICATION sent to an unsolicited peer."""
+        return self.open_message().build() + BgpNotification().build()
+
 
 class BgpSpeakerBehavior(ServerBehavior):
     """Per-connection behaviour of a simulated BGP speaker."""
@@ -83,9 +93,7 @@ class BgpSpeakerBehavior(ServerBehavior):
         if style is BgpSpeakerStyle.SILENT:
             return b""
         self._closed = True
-        open_bytes = self._config.open_message().build()
-        notification = BgpNotification().build()
-        return open_bytes + notification
+        return self._config.greeting
 
     def on_data(self, data: bytes) -> bytes:
         # An unsolicited peer sending data does not change the behaviour; a

@@ -60,21 +60,6 @@ def encode_length(length: int) -> bytes:
     return bytes([0x80 | len(encoded)]) + encoded
 
 
-def _decode_length(data: bytes) -> tuple[int, int]:
-    """Return (length, header_bytes_consumed)."""
-    if not data:
-        raise TruncatedMessageError("missing BER length")
-    first = data[0]
-    if first < 0x80:
-        return first, 1
-    count = first & 0x7F
-    if count == 0 or count > 4:
-        raise MalformedMessageError(f"unsupported BER length-of-length {count}")
-    if len(data) < 1 + count:
-        raise TruncatedMessageError("BER long-form length truncated")
-    return int.from_bytes(data[1 : 1 + count], "big"), 1 + count
-
-
 def encode_tlv(tag: int, content: bytes) -> bytes:
     """Encode a TLV from raw content bytes."""
     return bytes([tag]) + encode_length(len(content)) + content
@@ -132,35 +117,52 @@ def encode_sequence(*members: bytes, tag: int = TAG_SEQUENCE) -> bytes:
 
 def decode(data: bytes) -> tuple[BerValue, bytes]:
     """Decode one TLV from ``data``; return (value, rest)."""
-    if len(data) < 2:
+    value, end = _decode_at(data, 0, len(data))
+    return value, data[end:]
+
+
+def _decode_at(data: bytes, offset: int, limit: int) -> tuple[BerValue, int]:
+    """Decode the TLV at ``data[offset:limit]``; return (value, end offset).
+
+    Members of a constructed value are decoded in place, bounded by their
+    parent's end, so no bytes are copied except primitive contents.
+    """
+    if limit - offset < 2:
         raise TruncatedMessageError("BER TLV shorter than 2 bytes")
-    tag = data[0]
-    length, consumed = _decode_length(data[1:])
-    start = 1 + consumed
+    tag = data[offset]
+    length = data[offset + 1]
+    start = offset + 2
+    if length >= 0x80:  # long form: the low bits count the length bytes
+        count = length & 0x7F
+        if count == 0 or count > 4:
+            raise MalformedMessageError(f"unsupported BER length-of-length {count}")
+        if limit - start < count:
+            raise TruncatedMessageError("BER long-form length truncated")
+        length = int.from_bytes(data[start : start + count], "big")
+        start += count
     end = start + length
-    if len(data) < end:
+    if end > limit:
         raise TruncatedMessageError("BER content truncated")
-    content = data[start:end]
-    rest = data[end:]
     if tag & 0x20:  # constructed
         members = []
-        inner = content
-        while inner:
-            member, inner = decode(inner)
+        position = start
+        while position < end:
+            member, position = _decode_at(data, position, end)
             members.append(member)
-        return BerValue(tag=tag, value=tuple(members)), rest
+        return BerValue(tag=tag, value=tuple(members)), end
+    content = data[start:end]
     if tag == TAG_INTEGER:
-        return BerValue(tag=tag, value=int.from_bytes(content, "big", signed=True)), rest
+        return BerValue(tag=tag, value=int.from_bytes(content, "big", signed=True)), end
     if tag in _UNSIGNED_APPLICATION_TAGS:
-        return BerValue(tag=tag, value=int.from_bytes(content, "big", signed=False)), rest
+        return BerValue(tag=tag, value=int.from_bytes(content, "big", signed=False)), end
     if tag == TAG_NULL:
         if content:
             raise MalformedMessageError("NULL with non-empty content")
-        return BerValue(tag=tag, value=None), rest
+        return BerValue(tag=tag, value=None), end
     if tag == TAG_OID:
-        return BerValue(tag=tag, value=_decode_oid(content)), rest
+        return BerValue(tag=tag, value=_decode_oid(content)), end
     # OCTET STRING and anything else primitive: keep raw bytes.
-    return BerValue(tag=tag, value=content), rest
+    return BerValue(tag=tag, value=content), end
 
 
 def _decode_oid(content: bytes) -> tuple[int, ...]:

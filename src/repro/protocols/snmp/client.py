@@ -43,15 +43,20 @@ class SnmpScanRecord:
 
 
 class SnmpScanClient:
-    """Drives SNMPv3 engine discovery over a request/response connection."""
+    """Drives SNMPv3 engine discovery over a request/response connection.
+
+    The discovery request is the same for every address, so it is encoded
+    once per client.  Replies are parsed per exchange: engine time moves
+    with the clock, so no two reports are alike.
+    """
 
     def __init__(self, msg_id: int = 1) -> None:
-        self._msg_id = msg_id
+        self._request = build_discovery_request(msg_id)
 
     def scan(self, address: str, connection: Connection, port: int = 161) -> SnmpScanRecord:
         """Scan ``address`` over ``connection`` and return the record."""
         try:
-            connection.send(build_discovery_request(self._msg_id))
+            connection.send(self._request)
             data = connection.receive()
         except ProtocolError:
             data = b""

@@ -61,17 +61,15 @@ class UsmSecurityParameters:
 
     @classmethod
     def parse(cls, raw: bytes) -> "UsmSecurityParameters":
-        value = ber.decode_exact(raw)
-        if value.tag != ber.TAG_SEQUENCE or not isinstance(value.value, tuple) or len(value.value) != 6:
-            raise MalformedMessageError("USM parameters must be a 6-element SEQUENCE")
-        engine_id, boots, time_, user, auth, priv = value.value
+        members = _members(ber.decode_exact(raw), ber.TAG_SEQUENCE, 6, "USM parameters")
+        engine_id, boots, time_, user, auth, priv = members
         return cls(
-            engine_id=bytes(engine_id.value),
-            engine_boots=int(boots.value),
-            engine_time=int(time_.value),
-            user_name=bytes(user.value),
-            authentication_parameters=bytes(auth.value),
-            privacy_parameters=bytes(priv.value),
+            engine_id=_octets(engine_id, "msgAuthoritativeEngineID"),
+            engine_boots=_integer(boots, "msgAuthoritativeEngineBoots"),
+            engine_time=_integer(time_, "msgAuthoritativeEngineTime"),
+            user_name=_octets(user, "msgUserName"),
+            authentication_parameters=_octets(auth, "msgAuthenticationParameters"),
+            privacy_parameters=_octets(priv, "msgPrivacyParameters"),
         )
 
 
@@ -134,40 +132,69 @@ class SnmpV3Message:
 
     @classmethod
     def parse(cls, raw: bytes) -> "SnmpV3Message":
+        """Parse a BER-encoded message.
+
+        Raises:
+            MalformedMessageError: if a member has the wrong tag, type or
+                count (the BER layer raises its own typed errors first).
+        """
         top = ber.decode_exact(raw)
-        if top.tag != ber.TAG_SEQUENCE or not isinstance(top.value, tuple) or len(top.value) != 4:
-            raise MalformedMessageError("SNMPv3 message must be a 4-element SEQUENCE")
-        version, header, security, scoped = top.value
-        if int(version.value) != SNMP_VERSION_3:
-            raise MalformedMessageError(f"not an SNMPv3 message (version {version.value})")
-        if not isinstance(header.value, tuple) or len(header.value) != 4:
-            raise MalformedMessageError("malformed msgGlobalData")
-        msg_id, max_size, flags, model = header.value
-        security_parameters = UsmSecurityParameters.parse(bytes(security.value))
-        if not isinstance(scoped.value, tuple) or len(scoped.value) != 3:
-            raise MalformedMessageError("malformed ScopedPDU")
-        context_engine_id, context_name, pdu = scoped.value
-        if not isinstance(pdu.value, tuple) or len(pdu.value) != 4:
-            raise MalformedMessageError("malformed PDU")
-        request_id, error_status, error_index, varbind_list = pdu.value
+        version, header, security, scoped = _members(top, ber.TAG_SEQUENCE, 4, "SNMPv3 message")
+        version_number = _integer(version, "msgVersion")
+        if version_number != SNMP_VERSION_3:
+            raise MalformedMessageError(f"not an SNMPv3 message (version {version_number})")
+        msg_id, max_size, flags, model = _members(header, ber.TAG_SEQUENCE, 4, "msgGlobalData")
+        security_parameters = UsmSecurityParameters.parse(_octets(security, "msgSecurityParameters"))
+        context_engine_id, context_name, pdu = _members(scoped, ber.TAG_SEQUENCE, 3, "ScopedPDU")
+        if not pdu.is_constructed:
+            raise MalformedMessageError(f"PDU tag 0x{pdu.tag:02x} is not constructed")
+        request_id, error_status, error_index, varbind_list = _members(pdu, pdu.tag, 4, "PDU")
         varbinds = []
-        for varbind in varbind_list.value:
-            oid, value = varbind.value
-            varbinds.append((tuple(oid.value), value.value))
+        for varbind in _members(varbind_list, ber.TAG_SEQUENCE, None, "VarBindList"):
+            oid, value = _members(varbind, ber.TAG_SEQUENCE, 2, "VarBind")
+            if oid.tag != ber.TAG_OID:
+                raise MalformedMessageError(f"VarBind name has tag 0x{oid.tag:02x}, not an OID")
+            if value.is_constructed:
+                raise MalformedMessageError("VarBind value is constructed")
+            varbinds.append((oid.value, value.value))
+        msg_flags = _octets(flags, "msgFlags")
         return cls(
-            msg_id=int(msg_id.value),
-            msg_max_size=int(max_size.value),
-            msg_flags=bytes(flags.value)[0] if flags.value else 0,
-            security_model=int(model.value),
+            msg_id=_integer(msg_id, "msgID"),
+            msg_max_size=_integer(max_size, "msgMaxSize"),
+            msg_flags=msg_flags[0] if msg_flags else 0,
+            security_model=_integer(model, "msgSecurityModel"),
             security_parameters=security_parameters,
-            context_engine_id=bytes(context_engine_id.value),
-            context_name=bytes(context_name.value),
+            context_engine_id=_octets(context_engine_id, "contextEngineID"),
+            context_name=_octets(context_name, "contextName"),
             pdu_type=pdu.tag,
-            request_id=int(request_id.value),
-            error_status=int(error_status.value),
-            error_index=int(error_index.value),
+            request_id=_integer(request_id, "request-id"),
+            error_status=_integer(error_status, "error-status"),
+            error_index=_integer(error_index, "error-index"),
             varbinds=tuple(varbinds),
         )
+
+
+def _members(
+    value: ber.BerValue, tag: int, count: int | None, what: str
+) -> tuple[ber.BerValue, ...]:
+    """The members of a constructed ``value`` with ``tag`` and ``count`` members."""
+    if value.tag != tag or not isinstance(value.value, tuple):
+        raise MalformedMessageError(f"{what} must be a constructed value with tag 0x{tag:02x}")
+    if count is not None and len(value.value) != count:
+        raise MalformedMessageError(f"{what} must have {count} members, not {len(value.value)}")
+    return value.value
+
+
+def _integer(value: ber.BerValue, what: str) -> int:
+    if value.tag != ber.TAG_INTEGER or not isinstance(value.value, int):
+        raise MalformedMessageError(f"{what} must be an INTEGER, not tag 0x{value.tag:02x}")
+    return value.value
+
+
+def _octets(value: ber.BerValue, what: str) -> bytes:
+    if value.tag != ber.TAG_OCTET_STRING or not isinstance(value.value, bytes):
+        raise MalformedMessageError(f"{what} must be an OCTET STRING, not tag 0x{value.tag:02x}")
+    return value.value
 
 
 def build_discovery_request(msg_id: int = 1) -> bytes:

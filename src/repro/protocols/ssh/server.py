@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 
 from repro.net.endpoint import ServerBehavior
@@ -36,6 +37,12 @@ class SshServerStyle(enum.Enum):
 @dataclasses.dataclass(frozen=True)
 class SshServerConfig:
     """The host-wide SSH configuration of a device.
+
+    The config is frozen, so the bytes it puts on the wire never change:
+    :attr:`greeting` and :attr:`kex_reply_packet` are encoded on first use
+    and then kept on this instance.  That cache lives exactly as long as
+    the config, i.e. as long as the device of one simulated Internet, and
+    a :func:`dataclasses.replace` copy starts without it.
 
     Attributes:
         banner: identification string advertised by the server.
@@ -67,6 +74,31 @@ class SshServerConfig:
             style=style,
         )
 
+    @functools.cached_property
+    def greeting(self) -> bytes:
+        """What the server sends right after the TCP handshake.
+
+        Nothing for a silent server, the banner for a banner-only one, and
+        the banner plus the framed KEXINIT otherwise.
+        """
+        if self.style is SshServerStyle.SILENT:
+            return b""
+        banner = self.banner.render_wire()
+        if self.style is SshServerStyle.BANNER_ONLY:
+            return banner
+        return banner + frame_packet(self.kex_init.build())
+
+    @functools.cached_property
+    def kex_reply_packet(self) -> bytes:
+        """The framed KEX_ECDH_REPLY carrying the host key blob.
+
+        The ephemeral key and signature are synthetic and seeded by the
+        host key fingerprint, so the packet is a function of the config.
+        """
+        seed = self.host_key.fingerprint()
+        reply = KexEcdhReply.for_host_key(self.host_key.encode_blob(), seed=seed)
+        return frame_packet(reply.build())
+
 
 class SshServerBehavior(ServerBehavior):
     """Per-connection server behaviour for a given :class:`SshServerConfig`."""
@@ -79,13 +111,9 @@ class SshServerBehavior(ServerBehavior):
         self._client_banner_seen = False
 
     def on_connect(self) -> bytes:
-        if self._config.style is SshServerStyle.SILENT:
-            return b""
-        banner = self._config.banner.render_wire()
         if self._config.style is SshServerStyle.BANNER_ONLY:
             self._closed = True
-            return banner
-        return banner + frame_packet(self._config.kex_init.build())
+        return self._config.greeting
 
     def on_data(self, data: bytes) -> bytes:
         if self._closed or self._config.style is not SshServerStyle.FULL:
@@ -101,9 +129,7 @@ class SshServerBehavior(ServerBehavior):
         for payload in iter_packets(self._client_buffer):
             if payload and payload[0] == SSH_MSG_KEX_ECDH_INIT and not self._sent_reply:
                 self._sent_reply = True
-                seed = self._config.host_key.fingerprint()
-                kex_reply = KexEcdhReply.for_host_key(self._config.host_key.encode_blob(), seed=seed)
-                reply += frame_packet(kex_reply.build())
+                reply += self._config.kex_reply_packet
         if reply:
             self._client_buffer = b""
         return reply

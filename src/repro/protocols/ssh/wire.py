@@ -160,11 +160,15 @@ def unframe_packet(data: bytes) -> tuple[bytes, bytes]:
 
 
 def iter_packets(data: bytes):
-    """Yield every complete packet payload contained in ``data``."""
+    """Yield every complete packet payload contained in ``data``.
+
+    Iteration stops at the first truncated or malformed packet: once a
+    length field is wrong, no later packet boundary can be trusted.
+    """
     rest = data
     while rest:
         try:
             payload, rest = unframe_packet(rest)
-        except TruncatedMessageError:
+        except (TruncatedMessageError, MalformedMessageError):
             return
         yield payload

@@ -2,7 +2,7 @@
 
 from repro.net.endpoint import LoopbackConnection
 from repro.protocols.bgp.client import BgpScanClient
-from repro.protocols.bgp.messages import AS_TRANS, BgpErrorCode, CeaseSubcode
+from repro.protocols.bgp.messages import AS_TRANS, BgpErrorCode, BgpNotification, CeaseSubcode
 from repro.protocols.bgp.speaker import BgpSpeakerBehavior, BgpSpeakerConfig, BgpSpeakerStyle
 
 
@@ -55,3 +55,14 @@ class TestOtherStyles:
         behavior = BgpSpeakerBehavior(BgpSpeakerConfig())
         behavior.on_connect()
         assert behavior.on_data(b"\x00" * 19) == b""
+
+
+class TestPinnedWireBytes:
+    def test_cached_greeting_equals_fresh_encoding(self):
+        for config in (
+            BgpSpeakerConfig(asn=3320, bgp_identifier="193.0.0.1"),
+            BgpSpeakerConfig(asn=396982, bgp_identifier="8.8.8.8", hold_time=180),
+        ):
+            expected = config.open_message().build() + BgpNotification().build()
+            assert config.greeting == expected
+            assert BgpSpeakerBehavior(config).on_connect() == expected

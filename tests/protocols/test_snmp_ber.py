@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import MalformedMessageError, TruncatedMessageError
+from repro.errors import MalformedMessageError, ProtocolError, TruncatedMessageError
 from repro.protocols.snmp import ber
+from repro.protocols.snmp.engine_id import EngineId
+from repro.protocols.snmp.v3 import build_discovery_report, build_discovery_request
 
 
 class TestInteger:
@@ -104,3 +106,63 @@ def test_octet_string_roundtrip_property(value):
 def test_oid_roundtrip_property(tail):
     oid = (1, 3) + tuple(tail)
     assert ber.decode_exact(ber.encode_oid(oid)).value == oid
+
+
+def _slicing_decode(data: bytes) -> tuple[ber.BerValue, bytes]:
+    """Reference decoder that slices the remaining bytes at every TLV."""
+    if len(data) < 2:
+        raise TruncatedMessageError("BER TLV shorter than 2 bytes")
+    tag, first = data[0], data[1]
+    if first < 0x80:
+        length, consumed = first, 1
+    else:
+        count = first & 0x7F
+        if count == 0 or count > 4:
+            raise MalformedMessageError(f"unsupported BER length-of-length {count}")
+        if len(data) - 1 < 1 + count:
+            raise TruncatedMessageError("BER long-form length truncated")
+        length, consumed = int.from_bytes(data[2 : 2 + count], "big"), 1 + count
+    end = 1 + consumed + length
+    if len(data) < end:
+        raise TruncatedMessageError("BER content truncated")
+    content, rest = data[1 + consumed : end], data[end:]
+    if tag & 0x20:
+        members = []
+        while content:
+            member, content = _slicing_decode(content)
+            members.append(member)
+        return ber.BerValue(tag=tag, value=tuple(members)), rest
+    # Primitive contents are decoded by the same code in both decoders.
+    return ber.decode(data[: end])[0], rest
+
+
+def _outcome(decoder, data):
+    try:
+        return decoder(data)
+    except ProtocolError as exc:
+        return type(exc), str(exc)
+
+
+MESSAGES = (
+    build_discovery_request(7),
+    build_discovery_report(7, EngineId.generate("ber"), 3, 5),
+    ber.encode_octet_string(b"x" * 300),
+)
+
+
+@given(
+    st.sampled_from(MESSAGES),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=255)), max_size=3),
+    st.integers(min_value=0, max_value=400),
+)
+def test_offset_decoder_matches_slicing_decoder(message, mutations, cut):
+    mutated = bytearray(message)
+    for position, byte in mutations:
+        mutated[position % len(mutated)] = byte
+    data = bytes(mutated[: max(cut, 1)])
+    assert _outcome(ber.decode, data) == _outcome(_slicing_decode, data)
+
+
+@given(st.binary(max_size=64))
+def test_arbitrary_bytes_raise_only_protocol_errors(data):
+    assert _outcome(ber.decode, data) == _outcome(_slicing_decode, data)

@@ -1,6 +1,11 @@
 """Tests for SNMPv3 message building/parsing and the discovery exchange."""
 
-from repro.net.endpoint import LoopbackConnection
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.errors import MalformedMessageError, ProtocolError
+from repro.net.endpoint import LoopbackConnection, ServerBehavior
 from repro.protocols.snmp.client import SnmpScanClient
 from repro.protocols.snmp.engine import SnmpEngineBehavior, SnmpEngineConfig
 from repro.protocols.snmp.engine_id import EngineId
@@ -96,3 +101,55 @@ class TestDiscoveryExchange:
     def test_garbage_request_ignored_by_engine(self):
         behavior = SnmpEngineBehavior(SnmpEngineConfig.generate("device-46"))
         assert behavior.on_data(b"not-ber-at-all") == b""
+
+
+class FixedAgent(ServerBehavior):
+    """An agent that answers every request with the same bytes."""
+
+    def __init__(self, reply: bytes) -> None:
+        self._reply = reply
+
+    def on_data(self, data: bytes) -> bytes:
+        return self._reply
+
+
+REPORT = build_discovery_report(1, EngineId.generate("x"), 3, 5)
+
+
+class TestMalformedMessages:
+    def test_octet_string_version_is_rejected(self):
+        # Byte 2 is the tag of msgVersion: INTEGER (0x02) turned OCTET STRING.
+        mutated = bytearray(REPORT)
+        assert mutated[2] == 0x02
+        mutated[2] = 0x04
+        with pytest.raises(MalformedMessageError):
+            SnmpV3Message.parse(bytes(mutated))
+        record = SnmpScanClient().scan("192.0.2.50", LoopbackConnection(FixedAgent(bytes(mutated))))
+        assert not record.success
+
+    def test_integer_flags_are_rejected(self):
+        message = SnmpV3Message(msg_id=1).encode()
+        flags = message.index(b"\x04\x01\x04")  # msgFlags: OCTET STRING b"\x04"
+        mutated = bytearray(message)
+        mutated[flags] = 0x02
+        with pytest.raises(MalformedMessageError):
+            SnmpV3Message.parse(bytes(mutated))
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(REPORT) - 1), st.integers(min_value=0, max_value=255)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_mutated_reports_raise_only_protocol_errors(mutations):
+    mutated = bytearray(REPORT)
+    for position, byte in mutations:
+        mutated[position] = byte
+    try:
+        SnmpV3Message.parse(bytes(mutated))
+    except ProtocolError:
+        pass
+    record = SnmpScanClient().scan("192.0.2.51", LoopbackConnection(FixedAgent(bytes(mutated))))
+    assert record.success == record.has_identifier

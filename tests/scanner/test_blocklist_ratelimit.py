@@ -38,6 +38,31 @@ class TestBlocklist:
         blocklist = Blocklist(["0.0.0.0/0"])
         assert "2001:db8::1" not in blocklist
 
+    def test_non_canonical_entry_matches_canonical_target(self):
+        blocklist = Blocklist(["2001:DB8:0::1"])
+        assert "2001:db8::1" in blocklist
+        assert "2001:db8::2" not in blocklist
+
+    def test_non_canonical_target_matches_canonical_entry(self):
+        blocklist = Blocklist(["2001:db8::1", "2001:db8:1::/48"])
+        for _ in range(2):  # the second lookup is answered from the memo
+            assert "2001:DB8:0::1" in blocklist
+            assert "2001:0db8:0001::0:7" in blocklist
+            assert "2001:DB8:0::2" not in blocklist
+
+    def test_add_after_lookup_takes_effect(self):
+        blocklist = Blocklist()
+        assert "192.0.2.9" not in blocklist
+        blocklist.add("192.0.2.0/28")
+        assert "192.0.2.9" in blocklist
+
+    @pytest.mark.parametrize("entries", [[], ["192.0.2.1"], ["10.0.0.0/8"]])
+    def test_malformed_target_raises(self, entries):
+        blocklist = Blocklist(entries)
+        for _ in range(2):  # a failed parse is not memoised
+            with pytest.raises(ValueError):
+                blocklist.filter(["192.0.2.7", "not-an-address"])
+
 
 class TestTokenBucket:
     def test_first_probe_at_start_time(self):
