@@ -26,7 +26,7 @@ from pathlib import Path
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.errors import DatasetError
 from repro.io.jsonl import read_jsonl, write_jsonl
-from repro.simnet.device import ServiceType
+from repro.simnet.device import SERVICE_TYPES_BY_VALUE
 from repro.sources.records import Observation, ObservationDataset
 
 #: Marker key of the dataset header record (first line of a dataset file).
@@ -92,24 +92,49 @@ def _exact_fields(record: dict) -> tuple[tuple[str, str], ...]:
 
 def observation_from_dict(record: dict) -> Observation:
     """Rebuild an observation from its dict form (exact inverse of
-    :func:`observation_to_dict`)."""
+    :func:`observation_to_dict`).
+
+    ``address`` and ``source`` must be strings and ``timestamp`` a number
+    other than a bool: coercing any of them would break the exact
+    round-trip.
+    """
     if not isinstance(record, dict):
         raise DatasetError(f"malformed observation record (not an object): {record!r}")
-    asn = record.get("asn")
-    if asn is not None:
-        asn = _coerce_int(asn, "asn", record)
     try:
-        return Observation(
-            address=record["address"],
-            protocol=ServiceType(record["protocol"]),
-            source=record["source"],
-            port=_coerce_int(record["port"], "port", record),
-            timestamp=float(record.get("timestamp", 0.0)),
-            asn=asn,
-            fields=_exact_fields(record),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        address = record["address"]
+        protocol = SERVICE_TYPES_BY_VALUE[record["protocol"]]
+        source = record["source"]
+        port = record["port"]
+        timestamp = record.get("timestamp", 0.0)
+    except (KeyError, TypeError) as exc:
         raise DatasetError(f"malformed observation record: {record!r}") from exc
+    if not isinstance(address, str) or not isinstance(source, str):
+        raise DatasetError(
+            f"malformed observation record (address and source must be strings): {record!r}"
+        )
+    if type(port) is not int:
+        port = _coerce_int(port, "port", record)
+    asn = record.get("asn")
+    if asn is not None and type(asn) is not int:
+        asn = _coerce_int(asn, "asn", record)
+    if type(timestamp) is not float:
+        if isinstance(timestamp, bool):
+            raise DatasetError(
+                f"malformed observation record (timestamp {timestamp!r} is not a number): {record!r}"
+            )
+        try:
+            timestamp = float(timestamp)
+        except (ValueError, TypeError) as exc:
+            raise DatasetError(f"malformed observation record: {record!r}") from exc
+    return Observation(
+        address=address,
+        protocol=protocol,
+        source=source,
+        port=port,
+        timestamp=timestamp,
+        asn=asn,
+        fields=_exact_fields(record),
+    )
 
 
 def dataset_header(name: str) -> dict:
@@ -175,23 +200,37 @@ def save_alias_sets(collection: AliasSetCollection, path: str | Path) -> None:
 
 
 def load_alias_sets(path: str | Path) -> AliasSetCollection:
-    """Load an alias-set collection from a JSON document."""
+    """Load an alias-set collection from a JSON document.
+
+    Raises:
+        DatasetError: if the file is missing or unreadable, or is not a JSON
+            object of the shape :func:`save_alias_sets` writes.
+    """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"alias-set file {path} does not exist")
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(document, dict):
+            raise DatasetError(f"alias-set document {path} is not a JSON object")
         collection = AliasSetCollection(
             document["name"], address_asn={k: int(v) for k, v in document.get("address_asn", {}).items()}
         )
         for entry in document["sets"]:
+            addresses = entry["addresses"]
+            if not isinstance(addresses, list):
+                raise DatasetError(f"malformed alias-set document {path} (addresses {addresses!r})")
             collection.add(
                 AliasSet(
                     identifier=entry["identifier"],
-                    addresses=frozenset(entry["addresses"]),
-                    protocols=frozenset(ServiceType(value) for value in entry.get("protocols", [])),
+                    addresses=frozenset(addresses),
+                    protocols=frozenset(
+                        SERVICE_TYPES_BY_VALUE[value] for value in entry.get("protocols", [])
+                    ),
                 )
             )
         return collection
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        raise DatasetError(f"cannot read alias-set file {path}: {exc}") from exc
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise DatasetError(f"malformed alias-set document {path}") from exc

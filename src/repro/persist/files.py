@@ -3,8 +3,8 @@
 Every persisted artifact is written atomically (temp file + ``os.replace``)
 so an interrupted save never destroys a previously valid file, and every
 JSON document is read through one helper so missing files, unreadable
-files and invalid JSON all surface as :class:`~repro.errors.PersistError`
-with consistent wording.
+files, non-UTF-8 files and invalid JSON all surface as
+:class:`~repro.errors.PersistError` with consistent wording.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ def read_json_document(path: str | Path, what: str) -> dict[str, Any]:
         document = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise PersistError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PersistError(f"{what} {path} is not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise PersistError(f"{what} {path} is not valid JSON") from exc
     if not isinstance(document, dict):

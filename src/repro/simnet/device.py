@@ -47,6 +47,10 @@ class ServiceType(enum.Enum):
 #: Default TCP/UDP port per service.
 SERVICE_PORTS = {ServiceType.SSH: 22, ServiceType.BGP: 179, ServiceType.SNMPV3: 161}
 
+#: Service by its value: one dict lookup where decoders would otherwise make
+#: an ``Enum`` call per record (an unknown value raises ``KeyError``).
+SERVICE_TYPES_BY_VALUE = {service.value: service for service in ServiceType}
+
 
 @dataclasses.dataclass(frozen=True)
 class Interface:

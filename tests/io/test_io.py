@@ -52,6 +52,37 @@ class TestJsonl:
         path.write_text('{"a": 1}\n\n{"b": 2}\n')
         assert len(list(read_jsonl(path))) == 2
 
+    def test_trailing_data_on_a_line_raises(self, tmp_path):
+        path = tmp_path / "two-on-one.jsonl"
+        path.write_text('{"a": 1} {"b": 2}\n')
+        with pytest.raises(DatasetError, match=":1:"):
+            list(read_jsonl(path))
+
+    def test_non_utf8_file_raises(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"b": "\xff"}\n')
+        with pytest.raises(DatasetError, match="UTF-8"):
+            list(read_jsonl(path))
+
+    def test_directory_raises(self, tmp_path):
+        with pytest.raises(DatasetError, match="cannot read"):
+            list(read_jsonl(tmp_path))
+
+    def test_non_utf8_dataset_raises(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"__repro_dataset__": 1, "name": "caf\xe9"}\n')
+        with pytest.raises(DatasetError, match="UTF-8"):
+            load_observations(path)
+
+    def test_lines_equal_sorted_dumps(self, tmp_path):
+        import json
+
+        records = [{"b": [1, {"z": None, "y": 2.5}], "a": "é"}, {}, {"k": True}]
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, iter(records))
+        expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        assert path.read_text(encoding="utf-8") == expected
+
 
 class TestObservationSerialisation:
     def test_dict_roundtrip(self):
@@ -88,6 +119,41 @@ class TestObservationSerialisation:
         with pytest.raises(DatasetError):
             observation_from_dict(record)
 
+    @pytest.mark.parametrize("bad_address", [5, None, ["10.0.0.1"]])
+    def test_non_string_address_raises(self, bad_address):
+        record = observation_to_dict(sample_observation())
+        record["address"] = bad_address
+        with pytest.raises(DatasetError):
+            observation_from_dict(record)
+
+    @pytest.mark.parametrize("bad_source", [5, None, {"name": "active"}])
+    def test_non_string_source_raises(self, bad_source):
+        record = observation_to_dict(sample_observation())
+        record["source"] = bad_source
+        with pytest.raises(DatasetError):
+            observation_from_dict(record)
+
+    @pytest.mark.parametrize("bad_timestamp", [True, False, None, "later", [1.0]])
+    def test_malformed_timestamp_raises(self, bad_timestamp):
+        record = observation_to_dict(sample_observation())
+        record["timestamp"] = bad_timestamp
+        with pytest.raises(DatasetError):
+            observation_from_dict(record)
+
+    @pytest.mark.parametrize("bad_protocol", ["telnet", None, ["ssh"]])
+    def test_malformed_protocol_raises(self, bad_protocol):
+        record = observation_to_dict(sample_observation())
+        record["protocol"] = bad_protocol
+        with pytest.raises(DatasetError):
+            observation_from_dict(record)
+
+    def test_integer_timestamp_loads_as_float(self):
+        record = observation_to_dict(sample_observation())
+        record["timestamp"] = 12
+        loaded = observation_from_dict(record)
+        assert loaded.timestamp == 12.0
+        assert type(loaded.timestamp) is float
+
     def test_non_string_field_value_raises(self):
         record = observation_to_dict(sample_observation())
         record["fields"] = {"hold_time": 180}
@@ -121,6 +187,28 @@ class TestObservationSerialisation:
         loaded = observation_from_dict(observation_to_dict(observation))
         assert loaded == observation
         assert observation_to_dict(loaded) == observation_to_dict(observation)
+
+    def test_dataset_file_bytes_are_pinned(self, tmp_path):
+        second = Observation(
+            address="2001:db8::1",
+            protocol=ServiceType.SNMPV3,
+            source="скан",
+            port=161,
+            timestamp=0.0,
+            asn=None,
+            fields=(("engine_id", "80001f88"),),
+        )
+        path = tmp_path / "obs.jsonl"
+        save_observations(ObservationDataset("active", [sample_observation(), second]), path)
+        assert path.read_bytes() == (
+            b'{"__repro_dataset__": 1, "name": "active"}\n'
+            b'{"address": "10.0.0.1", "asn": 14061, "fields": {"banner": "SSH-2.0-OpenSSH_9.3", '
+            b'"host_key_fingerprint": "SHA256:abc"}, "port": 22, "protocol": "ssh", '
+            b'"source": "active", "timestamp": 12.5}\n'
+            b'{"address": "2001:db8::1", "asn": null, "fields": {"engine_id": "80001f88"}, '
+            b'"port": 161, "protocol": "snmpv3", "source": "\\u0441\\u043a\\u0430\\u043d", '
+            b'"timestamp": 0.0}\n'
+        )
 
     def test_dataset_roundtrip(self, tmp_path):
         dataset = ObservationDataset("active", [sample_observation(), sample_observation("10.0.0.2")])
@@ -210,6 +298,35 @@ class TestAliasSetSerialisation:
     def test_malformed_document_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
+        with pytest.raises(DatasetError):
+            load_alias_sets(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '[{"name": "ssh", "sets": []}]',
+            '{"name": "ssh", "sets": [{"identifier": "id-1", "addresses": 5}]}',
+            '{"name": "ssh", "sets": [{"identifier": "id-1", "addresses": "10.0.0.1"}]}',
+            '{"name": "ssh", "sets": [5]}',
+            '{"name": "ssh", "sets": 5}',
+            '{"name": "ssh", "address_asn": [], "sets": []}',
+            '{"name": "ssh", "sets": [{"identifier": "id-1", "addresses": [], "protocols": ["telnet"]}]}',
+        ],
+    )
+    def test_wrongly_shaped_document_raises(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(DatasetError):
+            load_alias_sets(path)
+
+    def test_directory_raises(self, tmp_path):
+        with pytest.raises(DatasetError, match="cannot read"):
+            load_alias_sets(tmp_path)
+
+    def test_non_utf8_document_raises(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"name": "\xff", "sets": []}')
         with pytest.raises(DatasetError):
             load_alias_sets(path)
 
