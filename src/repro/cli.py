@@ -6,8 +6,8 @@ The CLI mirrors how the paper's artifacts would be used in practice:
   campaigns for any registered observation source, writing datasets to
   disk (``--list-sources`` enumerates the source registry).
 * ``repro resolve`` — run alias resolution and dual-stack inference over
-  one or more observation datasets (``--workers`` shards the index build
-  across processes) and write alias sets plus a markdown report.
+  one or more observation datasets and write alias sets plus a markdown
+  report (``--stats`` prints the index's counts and table sizes).
 * ``repro experiments`` — regenerate registered tables and figures
   (``--list`` enumerates the experiment registry).
 * ``repro claims`` — evaluate the headline claims (the EXPERIMENTS.md table).
@@ -66,12 +66,10 @@ from repro.analysis.validation import (
 )
 from repro.api.config import ScenarioConfig
 from repro.api.experiments import all_experiments, get_experiment
-from repro.api.parallel import build_index_parallel
 from repro.api.plan import ScanPlan
 from repro.api.session import ReproSession
 from repro.api.sources import SOURCES
 from repro.core.engine import ResolutionEngine
-from repro.core.pipeline import run_alias_resolution
 from repro.devtools.cli import add_lint_parser, run_lint
 from repro.errors import DatasetError, RegistryError
 from repro.experiments import runner
@@ -123,15 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     resolve.add_argument("--output", type=Path, required=True, help="directory for alias sets and report")
     resolve.add_argument("--name", default="resolved", help="name of the combined dataset")
     resolve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sharded index build (default 1 = serial)",
-    )
-    resolve.add_argument(
         "--stats",
         action="store_true",
-        help="print index build statistics (counts, interned table sizes, build path)",
+        help="print index build statistics (counts, interned table sizes)",
     )
     _add_metrics_flag(resolve)
 
@@ -462,9 +454,8 @@ def _command_scan(args: argparse.Namespace) -> int:
 
 
 def _print_index_stats(index) -> None:
-    """Print the --stats block: index counts, table sizes, build path."""
+    """Print the --stats block: index counts and interned table sizes."""
     stats = index.stats()
-    build = obs.metrics().last_build_stats()
     print("index build statistics:")
     print(f"  observed observations:   {stats['observed']}")
     print(f"  indexed observations:    {stats['indexed']}")
@@ -475,21 +466,9 @@ def _print_index_stats(index) -> None:
             f"  bucket {bucket}: {payload['identifiers']} identifiers, "
             f"{payload['member_cells']} member cells"
         )
-    if build is not None:
-        print(f"  build path:              {build.transport} ({build.workers} worker(s))")
-        if build.shard_sizes:
-            print(f"  shard sizes:             {list(build.shard_sizes)}")
-        print(
-            "  timings:                 "
-            f"pack {build.pack_seconds:.3f}s, build {build.build_seconds:.3f}s, "
-            f"merge {build.merge_seconds:.3f}s"
-        )
 
 
 def _command_resolve(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
     datasets = []
     try:
         for path in args.datasets:
@@ -499,17 +478,12 @@ def _command_resolve(args: argparse.Namespace) -> int:
     except DatasetError as error:
         print(str(error), file=sys.stderr)
         return 2
-    # Feed the loaded datasets through the single-pass engine as one stream;
-    # with --workers > 1 the index is built across sharded worker processes.
-    if args.workers > 1 or args.stats:
-        index = build_index_parallel(
-            list(iter_observations(*datasets)), workers=args.workers
-        )
-        report = ResolutionEngine().report(index, name=args.name)
-        if args.stats:
-            _print_index_stats(index)
-    else:
-        report = run_alias_resolution(iter_observations(*datasets), name=args.name)
+    # Feed the loaded datasets through the single-pass engine as one stream.
+    engine = ResolutionEngine()
+    index = engine.index(iter_observations(*datasets))
+    report = engine.report(index, name=args.name)
+    if args.stats:
+        _print_index_stats(index)
     args.output.mkdir(parents=True, exist_ok=True)
     save_alias_sets(report.ipv4_union, args.output / "ipv4_alias_sets.json")
     save_alias_sets(report.ipv6_union, args.output / "ipv6_alias_sets.json")

@@ -23,7 +23,7 @@ tuple bucket keys), per-bucket membership is integer-keyed reference counts,
 and the per-address ASN columns are flat :mod:`array` columns indexed by
 address symbol.  An address's family is resolved once at intern time and
 read back as an array cell afterwards.  The public surface — ``add`` /
-``remove`` / ``extend`` / ``merge`` / ``consume_dirty`` / ``export_state`` /
+``remove`` / ``extend`` / ``consume_dirty`` / ``export_state`` /
 ``state_signature`` and insertion-ordered enumeration — is unchanged from
 the dict core (now preserved as
 :class:`repro.core.dictcore.DictObservationIndex`, the property-test oracle
@@ -91,6 +91,21 @@ _BUCKET_COUNT = len(_BUCKET_KEYS)
 
 def _bucket_code(protocol: ServiceType, family: AddressFamily) -> int:
     return _PROTO_CODE[protocol.value] * 2 + _FAMILY_CODE[family]
+
+
+def _symbol(value: int, size: int, table: str) -> int:
+    """``value`` as a symbol of a ``size``-entry interned table.
+
+    Raises:
+        DatasetError: when the symbol falls outside ``[0, size)``.
+    """
+    sym = int(value)
+    if not 0 <= sym < size:
+        raise DatasetError(
+            f"malformed observation index state: {table} symbol {sym} "
+            f"outside the {size}-entry {table} table"
+        )
+    return sym
 
 
 class _Bucket:
@@ -213,10 +228,8 @@ class ObservationIndex:
     exactly.
 
     Storage is columnar and interned — see the module docstring.  The two
-    symbol tables (:attr:`addresses`, :attr:`identifiers`) are per-index and
-    survive pickling, which is what lets the shared-memory parallel build in
-    :mod:`repro.api.parallel` ship shard indexes back as compact integer
-    columns instead of nested string dicts.
+    symbol tables (:attr:`addresses`, :attr:`identifiers`) are per-index,
+    and :meth:`export_columnar` persists them as-is.
     """
 
     def __init__(self, options: IdentifierOptions = DEFAULT_OPTIONS) -> None:
@@ -393,7 +406,7 @@ class ObservationIndex:
         """Publish symbol-table and dirty-set level gauges.
 
         Called at batch seams only (never per observation) so the enabled
-        cost stays a handful of dict operations per ``extend``/``merge``/
+        cost stays a handful of dict operations per ``extend``/
         ``apply_delta``, and the disabled cost is one boolean check.
         """
         if not obs.is_enabled():
@@ -449,91 +462,6 @@ class ObservationIndex:
         self._publish_gauges()
         obs.emit("index.delta", removed=dropped, added=grown)
 
-    def merge(self, other: "ObservationIndex") -> "ObservationIndex":
-        """Fold ``other``'s contents into this index; returns ``self``.
-
-        A merge is an integer-keyed bucket splice: ``other``'s symbol spaces
-        are translated into this index's tables once (one dict probe per
-        *distinct* string, not per reference-count cell), then every bucket
-        merge is pure integer arithmetic — identifier cells union key-wise,
-        address refcounts add, ASN reference columns add element-wise.  When
-        the two indexes were built from *disjoint shards of one observation
-        stream partitioned by address* (the parallel build in
-        :mod:`repro.api.parallel`), every inner merge is disjoint and the
-        result is exactly the index a serial pass over the whole stream
-        would have built, up to identifier insertion order — which no
-        derived collection's :func:`report_signature` depends on.
-
-        ``other`` is not modified; merging an index into itself is refused
-        because the refcount addition would double every count in place.
-
-        Raises:
-            ValueError: when ``other`` was built with different
-                :class:`~repro.core.identifiers.IdentifierOptions` — the two
-                indexes group by incompatible identifier constructions, so
-                splicing them would silently mix resolution semantics.
-            DatasetError: when ``other`` *is* this index.
-        """
-        if other is self:
-            raise DatasetError("cannot merge an ObservationIndex into itself")
-        if other._options != self._options:
-            raise ValueError(
-                "cannot merge indexes built with different identifier options: "
-                f"{other._options} != {self._options}"
-            )
-        # Translate other's symbol spaces into ours, once per distinct string.
-        own_ids = self._addresses.ids
-        other_families = other._family_codes
-        addr_map = array("q", bytes(8 * len(other._addresses)))
-        for sym, address in enumerate(other._addresses.values):
-            own = own_ids.get(address)
-            if own is None:
-                own = self._addresses.intern(address)
-                self._family_codes.append(other_families[sym])
-            addr_map[sym] = own
-        intern_identifier = self._identifiers.intern
-        ident_map = array(
-            "q", (intern_identifier(value) for value in other._identifiers.values)
-        )
-
-        for code, other_bucket in enumerate(other._buckets):
-            if other_bucket is None:
-                continue
-            bucket = self._bucket(code)
-            members = bucket.members
-            dirty = bucket.dirty
-            for other_ident, other_counts in other_bucket.members.items():
-                ident_sym = ident_map[other_ident]
-                counts = members.get(ident_sym)
-                if counts is None:
-                    members[ident_sym] = {
-                        addr_map[sym]: count for sym, count in other_counts.items()
-                    }
-                else:
-                    get = counts.get
-                    for sym, count in other_counts.items():
-                        own = addr_map[sym]
-                        counts[own] = get(own, 0) + count
-                dirty.add(ident_sym)
-            other_refs = other_bucket.asn_refs
-            if other_refs:
-                bucket.grow_asn(len(self._addresses))
-                refs = bucket.asn_refs
-                values = bucket.asn_values
-                other_values = other_bucket.asn_values
-                for sym, count in enumerate(other_refs):
-                    if count:
-                        own = addr_map[sym]
-                        values[own] = other_values[sym]
-                        refs[own] += count
-                bucket.asn_cache = None
-        self._observed += other._observed
-        self._indexed += other._indexed
-        if obs.is_enabled():
-            obs.add("index.merge.observations", other._observed)
-            self._publish_gauges()
-        return self
-
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
@@ -544,9 +472,9 @@ class ObservationIndex:
         keys stay ``(ServiceType, AddressFamily)`` tuples — the JSON
         encoding lives in :mod:`repro.persist.index`).  Unlike
         :meth:`state_signature` it keeps the per-address ASN reference
-        counts, so a restored index supports exact removal replay.  The
-        layout is identical to the pre-columnar dict core's export, which is
-        what keeps the on-disk snapshot format readable across cores.
+        counts.  The layout is identical to the dict core's export
+        (:class:`repro.core.dictcore.DictObservationIndex`), so the property
+        suite compares the two cores through it.
         """
         ident_values = self._identifiers.values
         addr_values = self._addresses.values
@@ -582,57 +510,6 @@ class ObservationIndex:
             "asn": asn,
             "asn_refs": asn_refs,
         }
-
-    @classmethod
-    def from_state(
-        cls, state: dict, options: IdentifierOptions = DEFAULT_OPTIONS
-    ) -> "ObservationIndex":
-        """Rebuild an index from :meth:`export_state` output.
-
-        Every identifier is marked dirty, so an incremental consumer
-        attached to the restored index (e.g.
-        :meth:`repro.longitudinal.engine.LongitudinalEngine.restore`)
-        derives its full state on the first drain — exactly as if the
-        index had just been built by streaming additions.
-        """
-        try:
-            index = cls(options)
-            index._observed = int(state["observed"])
-            index._indexed = int(state["indexed"])
-            bucket_keys = (
-                set(state["members"]) | set(state["asn"]) | set(state["asn_refs"])
-            )
-            intern_identifier = index._identifiers.intern
-            intern_address = index._intern_address
-            for bucket_key in bucket_keys:
-                protocol, family = bucket_key
-                bucket = index._bucket(_bucket_code(protocol, family))
-                for value, addresses in state["members"].get(bucket_key, {}).items():
-                    ident_sym = intern_identifier(value)
-                    bucket.members[ident_sym] = {
-                        intern_address(address): int(count)
-                        for address, count in addresses.items()
-                    }
-                    bucket.dirty.add(ident_sym)
-                asn_values = state["asn"].get(bucket_key, {})
-                asn_refs = state["asn_refs"].get(bucket_key, {})
-                if asn_values or asn_refs:
-                    ref_cells = {
-                        intern_address(address): int(count)
-                        for address, count in asn_refs.items()
-                    }
-                    value_cells = {
-                        intern_address(address): int(value)
-                        for address, value in asn_values.items()
-                    }
-                    bucket.grow_asn(len(index._addresses))
-                    for sym, count in ref_cells.items():
-                        bucket.asn_refs[sym] = count
-                    for sym, value in value_cells.items():
-                        bucket.asn_values[sym] = value
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"malformed observation index state: {exc}") from exc
-        return index
 
     def export_columnar(self) -> dict:
         """Interned state: symbol tables plus integer columns, for persistence.
@@ -677,8 +554,15 @@ class ObservationIndex:
         """Rebuild an index from :meth:`export_columnar` output.
 
         Address family codes are re-derived from the address strings (the
-        columnar export does not carry them), and every identifier is marked
-        dirty exactly as in :meth:`from_state`.
+        columnar export does not carry them).  Every identifier is marked
+        dirty, so an incremental consumer attached to the restored index
+        (e.g. :meth:`repro.longitudinal.engine.LongitudinalEngine.restore`)
+        derives its full state on the first drain — exactly as if the index
+        had just been built by streaming additions.
+
+        Raises:
+            DatasetError: on a malformed state, including any identifier or
+                address symbol outside its interned table.
         """
         try:
             index = cls(options)
@@ -694,21 +578,26 @@ class ObservationIndex:
                 ),
             )
             size = len(index._addresses)
+            identifiers = len(index._identifiers)
             for bucket_key, payload in state["buckets"].items():
                 protocol, family = bucket_key
                 bucket = index._bucket(_bucket_code(protocol, family))
                 for ident_sym, cells in payload["members"]:
-                    ident_sym = int(ident_sym)
-                    bucket.members[ident_sym] = {
+                    ident_sym = _symbol(ident_sym, identifiers, "identifier")
+                    counts = {
                         int(cells[at]): int(cells[at + 1])
                         for at in range(0, len(cells), 2)
                     }
+                    if counts:
+                        _symbol(min(counts), size, "address")
+                        _symbol(max(counts), size, "address")
+                    bucket.members[ident_sym] = counts
                     bucket.dirty.add(ident_sym)
                 asn = payload["asn"]
                 if asn:
                     bucket.grow_asn(size)
                     for at in range(0, len(asn), 3):
-                        sym = int(asn[at])
+                        sym = _symbol(asn[at], size, "address")
                         bucket.asn_values[sym] = int(asn[at + 1])
                         bucket.asn_refs[sym] = int(asn[at + 2])
         except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -268,7 +268,7 @@ class LongitudinalEngine:
         """Rebuild an engine around a restored index (checkpoint resume).
 
         ``index`` must have every identifier marked dirty (what
-        :meth:`~repro.core.engine.ObservationIndex.from_state` guarantees),
+        :meth:`~repro.core.engine.ObservationIndex.from_columnar` guarantees),
         so the refresh below derives every collection, union component and
         merged ASN mapping exactly as the original engine held them after
         resolving the snapshot called ``name``.  The engine's identifier

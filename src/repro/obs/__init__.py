@@ -6,7 +6,7 @@ helpers, and every helper checks one module-level boolean first::
     from repro import obs
 
     obs.add("index.observations.indexed", len(batch))
-    with obs.span("index.build", transport="fork"):
+    with obs.span("index.build", observations=len(batch)):
         ...
 
 With observability **disabled** (the default) each call is a boolean check
@@ -24,10 +24,6 @@ afterwards — this is what the CLI ``--metrics FILE`` flag uses::
     with obs.observed() as registry:
         session.report("union")
     Path("out.json").write_text(json.dumps(registry.to_json()))
-
-The registry object itself always exists (even disabled) because it also
-carries always-on diagnostics — the per-thread ``last_build_stats`` slot
-that ``repro resolve --stats`` reads.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ One :class:`MetricsRegistry` holds every measurement the pipeline publishes:
 * **Counters** — monotonically increasing totals (observations indexed,
   cache hits, probes issued), keyed by metric name plus a label set, so one
   metric carries many series (``session.cache{kind="report", outcome="hit"}``).
-* **Gauges** — point-in-time levels (dirty-set sizes, shard counts).
+* **Gauges** — point-in-time levels (dirty-set and symbol-table sizes).
 * **Histograms** — value distributions over fixed bucket bounds (stage
   timings), carrying per-bucket counts plus sum/count/min/max.
 * **Series** — named append-only lists of record dicts: the longitudinal
@@ -21,21 +21,12 @@ supported — :meth:`MetricsRegistry.to_json` (a plain JSON document that
 :meth:`MetricsRegistry.from_json` rebuilds losslessly) and
 :meth:`MetricsRegistry.prometheus_text` (Prometheus text exposition) — and
 they commute: rendering the rebuilt registry yields byte-identical text.
-
-Merging (:meth:`MetricsRegistry.merge`) folds another registry's counters,
-gauges and histograms into this one with commutative, associative
-operations (counters and histogram cells add, gauges keep the high-water
-mark), so folding per-shard or per-phase registries together is
-order-independent — ``tests/obs/test_merge_properties.py`` asserts this
-with hypothesis.  Spans and series are deliberately *not* merged: both are
-ordered local narratives, not aggregable quantities.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-import threading
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import DatasetError
@@ -114,22 +105,6 @@ class Histogram:
         self.minimum = value if self.minimum is None else min(self.minimum, value)
         self.maximum = value if self.maximum is None else max(self.maximum, value)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's cells into this one (commutative)."""
-        if self.bounds != other.bounds:
-            raise DatasetError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        for at, cell in enumerate(other.counts):
-            self.counts[at] += cell
-        self.total += other.total
-        self.count += other.count
-        for extreme, pick in (("minimum", min), ("maximum", max)):
-            theirs = getattr(other, extreme)
-            if theirs is not None:
-                mine = getattr(self, extreme)
-                setattr(self, extreme, theirs if mine is None else pick(mine, theirs))
-
     def to_json(self) -> dict[str, Any]:
         return {
             "bounds": list(self.bounds),
@@ -156,12 +131,8 @@ class MetricsRegistry:
     """Labeled counters, gauges, histograms, series, and completed spans.
 
     Mutation helpers (:meth:`inc`, :meth:`set_gauge`, :meth:`observe`,
-    :meth:`append_series`) are cheap dictionary operations; rendering and
-    merging happen off the hot path.  The registry also carries the
-    per-thread "last parallel index build" diagnostic slot that
-    :func:`repro.api.parallel.last_build_stats` reads — always-on
-    diagnostics, deliberately outside the enable/disable switch and outside
-    the JSON export (the slot holds a live dataclass, not a sample).
+    :meth:`append_series`) are cheap dictionary operations; rendering
+    happens off the hot path.
     """
 
     def __init__(self) -> None:
@@ -170,7 +141,6 @@ class MetricsRegistry:
         self._histograms: dict[str, dict[LabelKey, Histogram]] = {}
         self._series: dict[str, list[dict[str, Any]]] = {}
         self._spans: list[dict[str, Any]] = []
-        self._build_stats = threading.local()
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -249,55 +219,15 @@ class MetricsRegistry:
         return iter(self._counters)
 
     # ------------------------------------------------------------------ #
-    # Parallel-build diagnostics (always-on, per-thread)
-    # ------------------------------------------------------------------ #
-    def record_build_stats(self, stats: object) -> None:
-        """Store the most recent parallel index build's stats for this thread."""
-        self._build_stats.stats = stats
-
-    def last_build_stats(self) -> Any:
-        """Stats of the most recent index build on this thread, if any."""
-        return getattr(self._build_stats, "stats", None)
-
-    # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        """Drop every sample (the build-stats diagnostic slot survives)."""
+        """Drop every sample."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
         self._series.clear()
         self._spans.clear()
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other``'s counters, gauges and histograms into this one.
-
-        Counters and histogram cells add; gauges keep the high-water mark —
-        all commutative and associative, so merging any number of
-        registries is order-independent.  Spans and series stay local (they
-        are ordered narratives, not aggregable quantities).  Returns
-        ``self`` for chaining.
-        """
-        if other is self:
-            raise DatasetError("cannot merge a MetricsRegistry into itself")
-        for name, series in other._counters.items():
-            mine = self._counters.setdefault(name, {})
-            for key, value in series.items():
-                mine[key] = mine.get(key, 0) + value
-        for name, series in other._gauges.items():
-            mine = self._gauges.setdefault(name, {})
-            for key, value in series.items():
-                current = mine.get(key)
-                mine[key] = value if current is None else max(current, value)
-        for name, histogram_series in other._histograms.items():
-            merged = self._histograms.setdefault(name, {})
-            for key, histogram in histogram_series.items():
-                current = merged.get(key)
-                if current is None:
-                    current = merged[key] = Histogram(bounds=histogram.bounds)
-                current.merge(histogram)
-        return self
 
     # ------------------------------------------------------------------ #
     # Rendering

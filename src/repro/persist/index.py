@@ -15,12 +15,9 @@ index's two interned symbol tables (``addresses``, ``identifiers``) once,
 and every bucket as flat symbol/count lists —
 ``members: [[identifier_symbol, [address_symbol, count, ...]], ...]`` and
 ``asn: [address_symbol, asn, refs, ...]``.  Each distinct string appears
-exactly once no matter how many buckets reference it, so v2 documents are
-substantially smaller than the v1 nested string dicts.  Version 1 documents
-(pre-columnar snapshots, including everything embedded in PR-5 session and
-campaign checkpoints) still load through a read-compat path; the digest is
-computed from the canonical state signature, which is format-independent,
-so a v1 snapshot and its v2 re-save carry the same signature.
+exactly once no matter how many buckets reference it.  Version 2 is the
+only version read: any other version fails with
+:class:`~repro.errors.PersistError`.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from repro.net.addresses import AddressFamily
 from repro.persist.files import read_json_document, write_atomic
 from repro.simnet.device import ServiceType
 
-#: Current index snapshot format version (written; versions 1-2 are read).
+#: Index snapshot format version (the only one written and read).
 INDEX_FORMAT_VERSION = 2
 
 
@@ -93,28 +90,6 @@ def index_to_document(index: ObservationIndex) -> dict:
     }
 
 
-def _state_from_v1(document: dict) -> dict:
-    """Decode a version-1 (nested string dict) document into index state."""
-    state: dict = {
-        "observed": document["observed"],
-        "indexed": document["indexed"],
-        "members": {},
-        "asn": {},
-        "asn_refs": {},
-    }
-    for bucket in document["buckets"]:
-        key = _bucket_key(bucket["bucket"])
-        state["members"][key] = {
-            value: {address: int(count) for address, count in addresses.items()}
-            for value, addresses in bucket["members"].items()
-        }
-        state["asn"][key] = {address: int(asn) for address, asn in bucket["asn"].items()}
-        state["asn_refs"][key] = {
-            address: int(count) for address, count in bucket["asn_refs"].items()
-        }
-    return state
-
-
 def _state_from_v2(document: dict) -> dict:
     """Decode a version-2 (interned columnar) document into columnar state."""
     return {
@@ -135,9 +110,6 @@ def _state_from_v2(document: dict) -> dict:
 def index_from_document(document: dict) -> ObservationIndex:
     """Rebuild an index from a snapshot document, asserting signature parity.
 
-    Accepts format versions 1 (nested string dicts) and 2 (interned
-    columnar); both restore through the same digest parity check.
-
     Raises:
         PersistError: on an unsupported version, a malformed document, or a
             restored index whose state signature differs from the one the
@@ -145,23 +117,17 @@ def index_from_document(document: dict) -> ObservationIndex:
     """
     try:
         version = document["version"]
-        if version not in (1, 2):
+        if version != INDEX_FORMAT_VERSION:
             raise PersistError(f"unsupported index snapshot version {version!r}")
         options = IdentifierOptions(**document["options"])
-        if version == 1:
-            state = _state_from_v1(document)
-        else:
-            state = _state_from_v2(document)
+        state = _state_from_v2(document)
         expected = document["signature"]
     except PersistError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise PersistError(f"malformed index snapshot document: {exc}") from exc
     try:
-        if version == 1:
-            index = ObservationIndex.from_state(state, options)
-        else:
-            index = ObservationIndex.from_columnar(state, options)
+        index = ObservationIndex.from_columnar(state, options)
     except DatasetError as exc:
         raise PersistError(f"malformed index snapshot document: {exc}") from exc
     actual = state_signature_digest(index)

@@ -89,8 +89,9 @@ class TestResolveMetrics:
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "build path:" in output
-        assert obs.metrics().last_build_stats() is not None
+        assert "index build statistics:" in output
+        assert "interned addresses:" in output
+        assert "interned identifiers:" in output
 
 
 class TestValidateMetrics:

@@ -4,7 +4,6 @@ import pytest
 
 from repro import obs
 from repro.api.config import ScenarioConfig
-from repro.api.parallel import build_index_parallel, last_build_stats
 from repro.api.session import ReproSession
 from repro.core.engine import ObservationIndex
 
@@ -37,27 +36,6 @@ class TestIndexSeams:
         assert registry.counter_total("index.delta.added") == 0
         # net counters are never decremented by removals
         assert registry.counter_total("index.observations.observed") == 0
-
-    def test_parallel_build_records_stats_in_registry(self, observations):
-        with obs.observed() as registry:
-            index = build_index_parallel(observations, workers=2)
-        stats = registry.last_build_stats()
-        assert stats is not None
-        assert stats.workers == 2
-        assert stats.observations == len(observations)
-        assert registry.counter_value(
-            "parallel.build.runs", transport=stats.transport
-        ) == 1
-        assert index.observed == len(observations)
-        [span] = registry.spans
-        assert span["name"] == "index.build"
-        assert span["attrs"]["transport"] == stats.transport
-
-    def test_last_build_stats_shim_reads_registry(self, observations):
-        build_index_parallel(observations[:20], workers=1)
-        shim = last_build_stats()
-        assert shim is obs.metrics().last_build_stats()
-        assert shim.transport == "serial"
 
 
 class TestSessionSeams:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import DatasetError
-from repro.obs.registry import Histogram, MetricsRegistry, label_key, prometheus_name
+from repro.obs.registry import MetricsRegistry, label_key, prometheus_name
 
 
 @pytest.fixture()
@@ -48,15 +48,10 @@ class TestSamples:
         assert registry.series("absent") == []
         assert registry.spans[0]["name"] == "resolve"
 
-    def test_reset_drops_samples_but_keeps_build_stats(self, registry):
-        registry.record_build_stats("sentinel")
+    def test_reset_drops_samples(self, registry):
         registry.reset()
         assert registry.counter_total("session.cache") == 0
         assert registry.spans == []
-        assert registry.last_build_stats() == "sentinel"
-
-    def test_build_stats_slot_starts_empty(self):
-        assert MetricsRegistry().last_build_stats() is None
 
 
 class TestRendering:
@@ -104,11 +99,3 @@ class TestHelpers:
     def test_prometheus_name_sanitises(self):
         assert prometheus_name("index.observations.indexed") == "index_observations_indexed"
         assert prometheus_name("9lives") == "_9lives"
-
-    def test_histogram_merge_rejects_mismatched_bounds(self):
-        with pytest.raises(DatasetError):
-            Histogram(bounds=(1.0,)).merge(Histogram(bounds=(2.0,)))
-
-    def test_merge_into_self_refused(self, registry):
-        with pytest.raises(DatasetError):
-            registry.merge(registry)

@@ -110,14 +110,16 @@ class TestIndexFailureModes:
             load_index(path)
 
     def test_unsupported_version_raises(self, index):
-        document = index_to_document(index)
-        document["version"] = 99
-        with pytest.raises(PersistError):
-            index_from_document(document)
+        # Version 1 (pre-columnar nested string dicts) is no longer read.
+        for version in (1, 99):
+            document = index_to_document(index)
+            document["version"] = version
+            with pytest.raises(PersistError, match="unsupported"):
+                index_from_document(document)
 
     def test_malformed_document_raises(self):
-        with pytest.raises(PersistError):
-            index_from_document({"version": 1})
+        with pytest.raises(PersistError, match="malformed"):
+            index_from_document({"version": 2})
 
     def test_tampered_contents_fail_parity(self, index, tmp_path):
         path = tmp_path / "index.json"
@@ -132,61 +134,35 @@ class TestIndexFailureModes:
             load_index(path)
 
 
-def _v1_document(index):
-    """Hand-build the version-1 (nested string dict) snapshot of ``index``."""
-    import dataclasses
+class TestDanglingSymbols:
+    """A member or ASN symbol outside its interned table is malformed."""
 
-    from repro.persist.index import _bucket_tag
+    def test_address_symbol_beyond_table(self, index):
+        document = index_to_document(index)
+        document["buckets"][0]["members"][0][1][0] = len(document["addresses"]) + 5
+        with pytest.raises(PersistError, match="address symbol"):
+            index_from_document(document)
 
-    state = index.export_state()
-    bucket_keys = sorted(
-        set(state["members"]) | set(state["asn"]) | set(state["asn_refs"]),
-        key=_bucket_tag,
-    )
-    return {
-        "version": 1,
-        "options": dataclasses.asdict(index.options),
-        "observed": state["observed"],
-        "indexed": state["indexed"],
-        "buckets": [
-            {
-                "bucket": _bucket_tag(key),
-                "members": state["members"].get(key, {}),
-                "asn": state["asn"].get(key, {}),
-                "asn_refs": state["asn_refs"].get(key, {}),
-            }
-            for key in bucket_keys
-        ],
-        "signature": state_signature_digest(index),
-    }
+    def test_identifier_symbol_beyond_table(self, index):
+        document = index_to_document(index)
+        document["buckets"][0]["members"][0][0] = len(document["identifiers"])
+        with pytest.raises(PersistError, match="identifier symbol"):
+            index_from_document(document)
 
+    @pytest.mark.parametrize("position", ["member", "asn"])
+    def test_negative_symbol(self, index, position):
+        document = index_to_document(index)
+        bucket = next(b for b in document["buckets"] if b["asn"])
+        if position == "member":
+            bucket["members"][0][1][0] = -1
+        else:
+            bucket["asn"][0] = -1
+        with pytest.raises(PersistError, match="address symbol -1"):
+            index_from_document(document)
 
-class TestV1ReadCompat:
-    """Pre-columnar (PR-5) snapshots must keep loading byte-for-byte."""
-
-    def test_v1_document_loads(self, index):
-        loaded = index_from_document(_v1_document(index))
-        assert loaded.state_signature() == index.state_signature()
-        assert loaded.observed == index.observed
-        assert loaded.options == index.options
-
-    def test_v1_and_v2_share_signature_digest(self, index):
-        v1 = index_from_document(_v1_document(index))
-        v2 = index_from_document(index_to_document(index))
-        assert state_signature_digest(v1) == state_signature_digest(v2)
-        assert _v1_document(index)["signature"] == index_to_document(index)["signature"]
-
-    def test_v1_resave_upgrades_to_v2(self, index, tmp_path):
-        loaded = index_from_document(_v1_document(index))
-        path = tmp_path / "resaved.json"
-        save_index(loaded, path)
-        document = json.loads(path.read_text())
-        assert document["version"] == 2
-        assert load_index(path).state_signature() == index.state_signature()
-
-    def test_v1_supports_removal_replay(self, index):
-        loaded = index_from_document(_v1_document(index))
-        removed = _observation("10.0.0.2")
-        index.remove(removed)
-        loaded.remove(removed)
-        assert loaded.state_signature() == index.state_signature()
+    def test_asn_symbol_beyond_table(self, index):
+        document = index_to_document(index)
+        bucket = next(b for b in document["buckets"] if b["asn"])
+        bucket["asn"][0] = len(document["addresses"])
+        with pytest.raises(PersistError, match="address symbol"):
+            index_from_document(document)

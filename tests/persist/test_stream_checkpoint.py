@@ -85,6 +85,18 @@ class TestCheckpointContents:
         with pytest.raises(PersistError, match="torn"):
             load_stream_checkpoint(copy)
 
+    def test_dangling_index_symbol_detected(self, checkpoint_dir, tmp_path):
+        copy = tmp_path / "dangling"
+        copy.mkdir()
+        for path in checkpoint_dir.iterdir():
+            (copy / path.name).write_bytes(path.read_bytes())
+        index_path = copy / "index-0002.json"
+        document = json.loads(index_path.read_text())
+        document["buckets"][0]["members"][0][1][0] = len(document["addresses"]) + 5
+        index_path.write_text(json.dumps(document))
+        with pytest.raises(PersistError, match="address symbol"):
+            load_stream_checkpoint(copy)
+
     def test_rotation_keeps_only_newest(self, checkpoint_dir):
         assert sorted(p.name for p in checkpoint_dir.glob("index-*.json")) == [
             "index-0002.json"

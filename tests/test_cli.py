@@ -55,11 +55,11 @@ class TestScanAndResolve:
         assert main(["scan", "--scale", "0.1", "--output", str(tmp_path), "--sources", "union-ipv4"]) == 0
         assert (tmp_path / "union-ipv4.jsonl").exists()
 
-    def test_resolve_with_workers_matches_serial(self, tmp_path, capsys):
+    def test_resolve_with_stats_matches_plain(self, tmp_path, capsys):
         scan_dir = tmp_path / "scan"
         assert main(["scan", "--scale", "0.1", "--seed", "3", "--output", str(scan_dir)]) == 0
-        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-        for out_dir, workers in ((serial_dir, "1"), (parallel_dir, "2")):
+        plain_dir, stats_dir = tmp_path / "plain", tmp_path / "stats"
+        for out_dir, extra in ((plain_dir, []), (stats_dir, ["--stats"])):
             assert (
                 main(
                     [
@@ -67,15 +67,15 @@ class TestScanAndResolve:
                         str(scan_dir / "active.jsonl"),
                         "--output",
                         str(out_dir),
-                        "--workers",
-                        workers,
+                        *extra,
                     ]
                 )
                 == 0
             )
-        assert (serial_dir / "ipv4_alias_sets.json").read_text() == (
-            parallel_dir / "ipv4_alias_sets.json"
-        ).read_text()
+        for artifact in ("ipv4_alias_sets.json", "ipv6_alias_sets.json", "report.md"):
+            assert (plain_dir / artifact).read_bytes() == (
+                stats_dir / artifact
+            ).read_bytes(), artifact
 
     def test_resolve_stats_reports_build(self, tmp_path, capsys):
         scan_dir = tmp_path / "scan"
@@ -88,8 +88,6 @@ class TestScanAndResolve:
                     "--output",
                     str(tmp_path / "out"),
                     "--stats",
-                    "--workers",
-                    "2",
                 ]
             )
             == 0
@@ -98,8 +96,7 @@ class TestScanAndResolve:
         assert "index build statistics:" in output
         assert "interned addresses:" in output
         assert "interned identifiers:" in output
-        assert "build path:" in output
-        assert "shared-memory" in output
+        assert "bucket ssh:" in output
 
 
 class TestCliErrorPaths:
@@ -136,13 +133,6 @@ class TestCliErrorPaths:
         exit_code = main(["longitudinal", "--scale", "0.05", "--snapshots", "0"])
         assert exit_code == 2
         assert "at least one snapshot" in capsys.readouterr().err
-
-    def test_resolve_rejects_invalid_workers(self, tmp_path, capsys):
-        exit_code = main(
-            ["resolve", str(tmp_path / "missing.jsonl"), "--output", str(tmp_path), "--workers", "0"]
-        )
-        assert exit_code == 2
-        assert "--workers" in capsys.readouterr().err
 
 
 class TestRegistryListings:
